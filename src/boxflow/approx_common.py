@@ -11,10 +11,10 @@ empirically, which is what the flow solvers rely on.  The measured upper
 ratio rho = max ||s R d|| / OPT is logged, never assumed.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from boxflow.rng import child_rng
 from boxflow.sparsemat import compose, incidence_matrix, weight_inverse_matrix
@@ -82,23 +82,12 @@ class BaseApproximator:
         return self._M
 
 
-def _pair_distance(g, u, v):
-    """Shortest-path distance, the two-point transshipment optimum."""
-    adj = g.adjacency()
-    dist = {u: 0.0}
-    heap = [(0.0, u)]
-    while heap:
-        du, x = heapq.heappop(heap)
-        if x == v:
-            return du
-        if du > dist[x]:
-            continue
-        for y, w, _e in adj[x]:
-            nd = du + w
-            if y not in dist or nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    raise RuntimeError("disconnected graph in pair distance")
+def _pair_distances(g, pairs):
+    """Shortest-path distances, the two-point transshipment optima, from
+    one Dijkstra over the distinct sources."""
+    sources, rows = np.unique(pairs[:, 0], return_inverse=True)
+    dist = csgraph.dijkstra(g.csr(), indices=sources)
+    return dist[rows, pairs[:, 1]]
 
 
 def _pair_congestion(g, u, v):
@@ -129,14 +118,18 @@ def calibrate(approx, seed, batch_size=200, multipoint=16, safety=1.0):
     """
     g = approx.graph
     rng = child_rng(seed, "calibrate", approx.norm_kind)
-    pair_opt = _pair_distance if approx.norm_kind == "l1" else _pair_congestion
+    pairs = np.array(
+        [rng.choice(g.n, size=2, replace=False) for _ in range(batch_size)], dtype=np.int64
+    ).reshape(-1, 2)
+    if approx.norm_kind == "l1":
+        opts = _pair_distances(g, pairs).tolist()
+    else:
+        opts = [_pair_congestion(g, int(u), int(v)) for u, v in pairs]
     scale_needed = 0.0
     samples = []
-    for _ in range(batch_size):
-        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+    for (u, v), opt in zip(pairs, opts):
         d = np.zeros(g.n)
         d[u], d[v] = 1.0, -1.0
-        opt = pair_opt(g, u, v)
         est = approx.vec_norm(approx.apply_raw(d))
         if est <= 0:
             raise RuntimeError("approximator maps a nonzero demand to zero")

@@ -119,25 +119,6 @@ class ColStackKernel:
         return np.concatenate([ax, ax])
 
 
-class MatCore:
-    """Centralized core products with M via the raw CSR kernel."""
-
-    def __init__(self, mat):
-        self._k = CsrKernel(mat)
-
-    def mul_M(self, x):
-        return self._k.A(x)
-
-    def mul_MT(self, y):
-        return self._k.AT(y)
-
-    def mul_absM(self, x):
-        return self._k.absA(x)
-
-    def mul_absMT(self, y):
-        return self._k.absAT(y)
-
-
 @dataclass
 class SolverConfig:
     """Step parameters and bookkeeping knobs.

@@ -7,8 +7,14 @@ cluster.  Clusterings are grown by shifted ball carving: centers are
 visited in an exponentially-shifted random order and each carves a
 Dijkstra ball of radius about D/2 out of the residual graph, which keeps
 clusters connected and certifies the diameter deterministically.
-Clusterings are added until the covering property holds, up to the
-configured count, then once more up to double that before giving up.
+Clusterings are added until every ball is covered, giving up after twice
+the configured count.
+
+The covering test reads the potentials phi_j(v) = min(dist(V \\ C_j(v),
+v), D): Ball(v, D/tau) lies inside C_j(v) exactly when no node outside
+C_j(v) is within D/tau of v, that is when phi_j(v) > D/tau (the cap D
+exceeds D/tau).  One csgraph Dijkstra from a virtual source computes phi
+for every cluster of a clustering.
 
 Scale 0 (D = 1) always uses singleton clusterings; weights are assumed
 to be at least 1, which the approximator layer guarantees by rescaling.
@@ -19,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from boxflow.rng import child_rng
 
@@ -27,10 +35,8 @@ class CoverError(RuntimeError):
     """The retry budget was exhausted before the covering property held."""
 
 
-def default_tau(n, paper_value=False):
-    """Default tau = max(2, ceil(log2 n)); the published log^7 n by flag."""
-    if paper_value:
-        return max(2, int(math.ceil(math.log2(max(n, 2)) ** 7)))
+def default_tau(n):
+    """Default tau = max(2, ceil(log2 n)), in place of the published log^7 n."""
     return max(2, int(math.ceil(math.log2(max(n, 2)))))
 
 
@@ -44,12 +50,6 @@ class DistanceScales:
     beta: int
     levels: list  # D_i for i in I_scale, contiguous from 0
     i_max: int
-
-    def level(self, i):
-        # D_i = beta^i is defined beyond i_max too (used by row weights)
-        if i < len(self.levels):
-            return self.levels[i]
-        return float(self.beta) ** i
 
 
 def build_scales(g, tau):
@@ -103,24 +103,6 @@ def _singleton_clustering(n):
     return _make_clustering(np.arange(n))
 
 
-def _truncated_ball(adj, n, source, radius):
-    """Nodes within distance radius of source (full graph)."""
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    out = []
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        out.append(u)
-        for v, w, _e in adj[u]:
-            nd = du + w
-            if nd <= radius and (v not in dist or nd < dist[v]):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return out
-
-
 def _carve_clustering(g, theta, order):
     """Partition V by residual Dijkstra balls of radius theta.
 
@@ -157,16 +139,43 @@ def _carve_clustering(g, theta, order):
     return _make_clustering(ids)
 
 
-def _covering_ok(ball, ids):
-    first = ids[ball[0]]
-    for u in ball[1:]:
-        if ids[u] != first:
-            return False
-    return True
+def _clustering_potentials(g, ids, diameter):
+    """phi(v) = min(dist_G(V \\ C(v), v), D) for every node of one clustering.
+
+    A shortest path from V \\ C(v) to v enters C(v) once, over a cut edge,
+    and stays inside it.  So one Dijkstra, over the intra-cluster edges
+    plus a virtual source with an arc to each boundary node weighted by
+    its lightest cut edge, gives phi for every cluster at once.  Paths
+    are summed from the complement side, as a search from V \\ C(v)
+    would.  An empty complement leaves phi at the cap D.
+    """
+    n = g.n
+    csr = g.csr()
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    intra = ids[rows] == ids[csr.indices]
+    entry = np.full(n, np.inf)
+    np.minimum.at(entry, rows[~intra], csr.data[~intra])
+    boundary = np.flatnonzero(np.isfinite(entry))
+    counts = np.append(np.bincount(rows[intra], minlength=n), len(boundary))
+    search = sp.csr_array(
+        (
+            np.concatenate([csr.data[intra], entry[boundary]]),
+            np.concatenate([csr.indices[intra], boundary]),
+            np.concatenate([[0], np.cumsum(counts)]),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    dist = csgraph.dijkstra(search, directed=True, indices=n, limit=diameter)
+    return np.minimum(dist[:n], diameter)
 
 
-def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None, stop_when_covered=True):
+def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None):
     """Cover for one scale; see module docstring for the construction.
+
+    Node v is covered by clustering j once phi_j(v) > D/tau: the ball
+    Ball(v, D/tau) leaves C_j(v) exactly when some node outside C_j(v)
+    lies within D/tau of v, that is when dist(V \\ C_j(v), v) <= D/tau,
+    and phi_j(v) is that distance capped at D > D/tau.
 
     Raises CoverError if some ball is still uncovered after twice the
     target number of clusterings.
@@ -179,14 +188,10 @@ def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None, stop_
 
     if diameter <= 1.0:
         # singleton scale; weights >= 1 make every covering ball trivial
-        for j in range(1 if stop_when_covered else num):
-            cover.clusterings.append(_singleton_clustering(n))
+        cover.clusterings.append(_singleton_clustering(n))
         covering_index[:] = 0
         cover.covering_index = covering_index
         return cover
-
-    adj = g.adjacency()
-    balls = [_truncated_ball(adj, n, v, radius) for v in range(n)]
 
     max_attempts = 2 * num
     attempt = 0
@@ -199,14 +204,10 @@ def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None, stop_
         clustering = _carve_clustering(g, theta, order)
         j = len(cover.clusterings)
         cover.clusterings.append(clustering)
-        for v in range(n):
-            if covering_index[v] < 0 and _covering_ok(balls[v], clustering.ids):
-                covering_index[v] = j
+        phi = _clustering_potentials(g, clustering.ids, diameter)
+        covering_index[(covering_index < 0) & (phi > radius)] = j
         attempt += 1
-        all_covered = bool((covering_index >= 0).all())
-        if stop_when_covered and all_covered:
-            break
-        if not stop_when_covered and attempt >= num and all_covered:
+        if (covering_index >= 0).all():
             break
 
     if (covering_index < 0).any():
@@ -242,44 +243,12 @@ class DistanceStructureSet:
 
 
 def build_potentials(g, cover):
-    """phi_{V \\ C}(v) = min(dist_G(V \\ C, v), D_i) for every cluster.
+    """phi_{V \\ C}(v) = min(dist_G(V \\ C, v), D_i) for every clustering.
 
     Distances are in the full graph; an empty complement (one cluster
     covering V) uses the convention +inf, capped to D_i.
     """
-    n = g.n
-    adj = g.adjacency()
-    D = cover.diameter
-    phis = []
-    for clustering in cover.clusterings:
-        phi = np.empty(n)
-        for cid, members in enumerate(clustering.members):
-            member_set = set(int(u) for u in members)
-            if len(member_set) == n:
-                phi[:] = D
-                continue
-            dist = {}
-            heap = []
-            # multi-source Dijkstra from the complement, stopping at D
-            for u in range(n):
-                if u not in member_set:
-                    dist[u] = 0.0
-                    heap.append((0.0, u))
-            heapq.heapify(heap)
-            while heap:
-                du, u = heapq.heappop(heap)
-                if du > dist.get(u, math.inf):
-                    continue
-                for v, w, _e in adj[u]:
-                    nd = du + w
-                    if nd <= D and (v not in dist or nd < dist[v]):
-                        dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
-            for u in members:
-                u = int(u)
-                phi[u] = min(dist.get(u, math.inf), D)
-        phis.append(phi)
-    return phis
+    return [_clustering_potentials(g, c.ids, cover.diameter) for c in cover.clusterings]
 
 
 def compute_pw(structure, tau):
@@ -293,16 +262,14 @@ def compute_pw(structure, tau):
     return ps, w
 
 
-def build_distance_structures(g, tau=None, seed=0, num_clusterings=None, stop_when_covered=True):
+def build_distance_structures(g, tau=None, seed=0, num_clusterings=None):
     """Scales, covers, potentials, and p/w for every scale of g."""
     tau = tau if tau is not None else default_tau(g.n)
     scales = build_scales(g, tau)
     num = num_clusterings if num_clusterings is not None else default_num_clusterings(g.n)
     structures = []
     for i, D in enumerate(scales.levels):
-        cover = build_cover(
-            g, i, D, tau, seed, num_clusterings=num, stop_when_covered=stop_when_covered
-        )
+        cover = build_cover(g, i, D, tau, seed, num_clusterings=num)
         structure = DistanceStructure(cover=cover, phi=build_potentials(g, cover))
         compute_pw(structure, tau)
         structures.append(structure)

@@ -8,6 +8,8 @@ vectors over nodes.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class GraphFormatError(ValueError):
@@ -48,25 +50,9 @@ class Graph:
         for arr in (self.tail, self.head, self.weight):
             arr.flags.writeable = False
         self._adj = None
-        if not self._connected():
+        self._csr = None
+        if csgraph.connected_components(self.csr(), directed=False, return_labels=False) != 1:
             raise GraphFormatError("graph is not connected")
-
-    def _connected(self):
-        if self.n == 1:
-            return True
-        if self.m == 0:
-            return False
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        adj = self.adjacency()
-        while stack:
-            u = stack.pop()
-            for v, _w, _e in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
 
     def adjacency(self):
         """Adjacency lists [(neighbor, weight, edge_index), ...] per node."""
@@ -79,9 +65,22 @@ class Graph:
             self._adj = adj
         return self._adj
 
-    def w_matrix_diag(self):
-        """Diagonal of W (edge weights in column order)."""
-        return self.weight
+    def csr(self):
+        """Symmetric n x n CSR of edge weights, the csgraph input, cached.
+
+        Parallel edges keep their minimum weight; scipy would sum them.
+        """
+        if self._csr is None:
+            rows = np.concatenate([self.tail, self.head])
+            cols = np.concatenate([self.head, self.tail])
+            w = np.concatenate([self.weight, self.weight])
+            order = np.lexsort((w, cols, rows))
+            rows, cols, w = rows[order], cols[order], w[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            indptr = np.searchsorted(rows[first], np.arange(self.n + 1))
+            self._csr = sp.csr_array((w[first], cols[first], indptr), shape=(self.n, self.n))
+        return self._csr
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -27,7 +27,6 @@ from boxflow.boxsimplex import (
     BoxSimplexInstance,
     ColStackKernel,
     CsrKernel,
-    MatCore,
     RowStackKernel,
     SolverConfig,
     solve_decide,

@@ -74,10 +74,6 @@ class ColSparseMatrix:
     def nnz(self):
         return self._csc.nnz
 
-    def col_nnz(self):
-        """Actual nonzero count per column."""
-        return np.diff(self._csc.indptr)
-
     def max_col_nnz(self):
         if self._csc.shape[1] == 0 or self._csc.nnz == 0:
             return 0

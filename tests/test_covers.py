@@ -290,3 +290,25 @@ def test_p_lipschitz_exhaustive_small():
             for u in range(g.n):
                 for v in range(g.n):
                     assert abs(st.w[u] - st.w[v]) <= num_here * dists[u][v] / D + 1e-9
+
+
+def test_potentials_match_reference_distances():
+    # the path and the 3 x 16 grid at tau = 3 reach potentials in (D/2, D)
+    rng = np.random.default_rng(4)
+    cases = [
+        (random_connected_graph(16, rng, weight_choices=(1.0, 1.37, 2.9)), None),
+        (random_connected_graph(40, rng, extra_edge_prob=0.02, weight_choices=(1.0, 1.7, 3.3)), None),
+        (path_graph(40, list(rng.choice((1.0, 1.7, 3.3), size=39))), None),
+        (grid_graph(3, 16), 3),
+    ]
+    for gi, (g, tau) in enumerate(cases):
+        ds = build_distance_structures(g, tau=tau, seed=300 + gi)
+        dists = {u: graph_distances(g, u) for u in range(g.n)}
+        for st in ds.structures:
+            D = st.cover.diameter
+            phis = build_potentials(g, st.cover)
+            for j, clustering in enumerate(st.cover.clusterings):
+                ids = clustering.ids
+                for v in range(g.n):
+                    outside = [dists[u][v] for u in range(g.n) if ids[u] != ids[v]]
+                    assert phis[j][v] == min([D] + outside)

@@ -107,3 +107,24 @@ def test_determinism():
     a2 = build_ts_approximator(g, seed=11)
     assert a1.scale == a2.scale
     assert np.array_equal(a1.R.to_dense(), a2.R.to_dense())
+
+
+def test_heavier_parallel_edges_change_nothing():
+    # Graph accepts parallel edges; only the lightest copy may count.  The
+    # weighted 2 x 16 ladder is long enough for nontrivial potentials.
+    rng = np.random.default_rng(11)
+    length = 16
+    edges = []
+    for c in range(length):
+        edges.append((c, length + c, float(rng.choice((1.0, 2.0, 3.0)))))
+        if c + 1 < length:
+            edges.append((c, c + 1, float(rng.choice((1.0, 2.0, 3.0)))))
+            edges.append((length + c, length + c + 1, float(rng.choice((1.0, 2.0, 3.0)))))
+    heavier = edges + [(v, u, 3.0) for u, v, _w in edges]
+    a = build_ts_approximator(Graph(2 * length, edges), seed=2, calibrate_scale=False)
+    b = build_ts_approximator(Graph(2 * length, heavier), seed=2, calibrate_scale=False)
+    assert a.R.n_rows > 2 * length
+    assert np.array_equal(a.R.to_dense(), b.R.to_dense())
+    for sa, sb in zip(a.structures.structures, b.structures.structures, strict=True):
+        for pa, pb in zip(sa.phi, sb.phi, strict=True):
+            assert np.array_equal(pa, pb)
