@@ -43,10 +43,6 @@ class BaseApproximator:
         self._scaled_R = None
         self._M = None
 
-    @property
-    def n_rows(self):
-        return self.R.n_rows
-
     def vec_norm(self, vec):
         if self.norm_kind == "l1":
             return float(np.abs(vec).sum())

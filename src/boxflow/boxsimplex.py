@@ -10,19 +10,23 @@ Simplex iterates are kept in the log domain: the multiplicative update
 y * exp(v) followed by l1 normalization becomes a log-sum-exp shift, which
 cannot underflow no matter how many iterations run.
 
-Products go through a kernel object so the same loop can run against an
-explicit sparse matrix (fast path) or against matrices that exist only as
-operators, e.g. the stacked game matrices of the flow reductions or the
-distributed simulator.
+A is any operator with a shape and the four products of a
+ColSparseMatrix (matvec, matvec_T, abs_matvec, abs_matvec_T): an explicit
+matrix, or a matrix that exists only as an operator, such as the stacked
+game matrices of the flow reductions.  The step weights ALPHA and BETA
+and the budget multiplier T_MULTIPLIER are the published listing's
+values and fixed.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 FLOOR = 1e-300  # denominator floor; only reachable for all-zero rows of A
+ALPHA = 2.0  # regularization weights of the extragradient steps
+BETA = 2.0
+T_MULTIPLIER = 6.0  # iteration budget T = ceil(6 (8 log2 d + 1) L / eps)
 
 
 class ParameterError(ValueError):
@@ -33,106 +37,15 @@ class NumericOverflowError(RuntimeError):
     """A non-finite intermediate appeared; should not happen on valid input."""
 
 
-def _raw_matvec(shape, indptr, indices, data, x):
-    out = np.zeros(shape[0])
-    _sparsetools.csr_matvec(shape[0], shape[1], indptr, indices, data, x, out)
-    return out
-
-
-class CsrKernel:
-    """Products with an explicit ColSparseMatrix, minus per-call overhead.
-
-    Uses the same sequential CSR kernel scipy dispatches to, so results are
-    bit-identical to mat.matvec and friends.
-    """
-
-    def __init__(self, mat):
-        csr = mat._csr
-        csrT = mat._csrT
-        self._fwd = ((csr.shape), csr.indptr, csr.indices, csr.data)
-        self._fwd_abs = ((csr.shape), csr.indptr, csr.indices, np.abs(csr.data))
-        self._bwd = ((csrT.shape), csrT.indptr, csrT.indices, csrT.data)
-        self._bwd_abs = ((csrT.shape), csrT.indptr, csrT.indices, np.abs(csrT.data))
-
-    def A(self, y):
-        return _raw_matvec(*self._fwd, y)
-
-    def AT(self, x):
-        return _raw_matvec(*self._bwd, x)
-
-    def absA(self, y):
-        return _raw_matvec(*self._fwd_abs, y)
-
-    def absAT(self, x):
-        return _raw_matvec(*self._bwd_abs, x)
-
-
-class RowStackKernel:
-    """Game products for A with A^T = [M; -M] stacked by rows.
-
-    Here A = [M^T, -M^T], the box side is indexed like rows of M^T and the
-    simplex side is two copies of rows(M).  core must provide mul_M,
-    mul_MT, mul_absM, mul_absMT.
-    """
-
-    def __init__(self, core, k):
-        self.core = core
-        self.k = k
-
-    def A(self, y):
-        return self.core.mul_MT(y[: self.k] - y[self.k :])
-
-    def AT(self, x):
-        mx = self.core.mul_M(x)
-        return np.concatenate([mx, -mx])
-
-    def absA(self, y):
-        return self.core.mul_absMT(y[: self.k] + y[self.k :])
-
-    def absAT(self, x):
-        ax = self.core.mul_absM(x)
-        return np.concatenate([ax, ax])
-
-
-class ColStackKernel:
-    """Game products for A = [M, -M] stacked by columns.
-
-    The box side is rows(M); the simplex side is two copies of cols(M).
-    """
-
-    def __init__(self, core, k):
-        self.core = core
-        self.k = k
-
-    def A(self, y):
-        return self.core.mul_M(y[: self.k] - y[self.k :])
-
-    def AT(self, x):
-        mtx = self.core.mul_MT(x)
-        return np.concatenate([mtx, -mtx])
-
-    def absA(self, y):
-        return self.core.mul_absM(y[: self.k] + y[self.k :])
-
-    def absAT(self, x):
-        ax = self.core.mul_absMT(x)
-        return np.concatenate([ax, ax])
-
-
 @dataclass
 class SolverConfig:
-    """Step parameters and bookkeeping knobs.
+    """Bookkeeping knobs.
 
-    alpha and beta are the regularization weights of the extragradient
-    steps; the iteration budget is ceil(t_multiplier * (8*log2(d) + 1) *
-    L / eps).  With early_exit the exact gap of the running average is
-    evaluated every check_every iterations (default ceil(T/100)) and the
-    loop stops once it reaches eps.
+    With early_exit the exact gap of the running average is evaluated
+    every check_every iterations (default ceil(T/100)) and the loop stops
+    once it reaches eps.
     """
 
-    alpha: float = 2.0
-    beta: float = 2.0
-    t_multiplier: float = 6.0
     early_exit: bool = True
     check_every: int = 0  # 0 selects ceil(T/100)
     collect_trace: bool = False
@@ -150,16 +63,16 @@ class SaddlePoint:
 
 
 class BoxSimplexInstance:
-    """An (A, b, c) game.  A is a ColSparseMatrix of shape (n, d).
+    """An (A, b, c) game with A of shape (n, d).
 
-    A custom kernel may stand in for A's products; L must then be supplied
-    since the matrix may only exist implicitly.
+    A is a ColSparseMatrix or any operator with its shape and four
+    products; L = ||A||_{1->1} must be supplied when A has no
+    one_to_one_norm().
     """
 
-    def __init__(self, A, b, c, kernel=None, L=None, n=None, d=None):
+    def __init__(self, A, b, c, L=None):
         self.A = A
-        if A is not None:
-            n, d = A.shape
+        n, d = A.shape
         self.n, self.d = n, d
         self.b = np.asarray(b, dtype=np.float64)
         self.c = np.asarray(c, dtype=np.float64)
@@ -167,7 +80,6 @@ class BoxSimplexInstance:
             raise ParameterError(f"b has shape {self.b.shape}, expected ({d},)")
         if self.c.shape != (n,):
             raise ParameterError(f"c has shape {self.c.shape}, expected ({n},)")
-        self.kernel = kernel if kernel is not None else CsrKernel(A)
         self.L = float(L) if L is not None else A.one_to_one_norm()
 
     def eval_simplex_form(self, y):
@@ -175,14 +87,14 @@ class BoxSimplexInstance:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.d,) or y.min(initial=0.0) < -1e-12 or abs(y.sum() - 1.0) > 1e-9:
             raise ParameterError("y is not in the probability simplex")
-        return -(float(np.abs(self.kernel.A(y) + self.c).sum()) + float(self.b @ y))
+        return -(float(np.abs(self.A.matvec(y) + self.c).sum()) + float(self.b @ y))
 
     def eval_box_form(self, x):
         """max(A^T x - b) + <c, x>; upper certificate for the game value."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,) or np.abs(x).max(initial=0.0) > 1.0 + 1e-12:
             raise ParameterError("x is not in the box [-1,1]^n")
-        return float((self.kernel.AT(x) - self.b).max()) + float(self.c @ x)
+        return float((self.A.matvec_T(x) - self.b).max()) + float(self.c @ x)
 
     def gap(self, x, y):
         """Exact sup/inf gap of the pair: eval_box(x) - eval_simplex(y).
@@ -193,9 +105,9 @@ class BoxSimplexInstance:
         return self.eval_box_form(x) - self.eval_simplex_form(y)
 
 
-def iteration_budget(d, L, eps, t_multiplier=6.0):
-    """Scheduled iteration count ceil(t_multiplier*(8 log2 d + 1)*L/eps)."""
-    return int(math.ceil(t_multiplier * (8.0 * math.log2(d) + 1.0) * L / eps))
+def iteration_budget(d, L, eps):
+    """Scheduled iteration count ceil(T_MULTIPLIER*(8 log2 d + 1)*L/eps)."""
+    return int(math.ceil(T_MULTIPLIER * (8.0 * math.log2(d) + 1.0) * L / eps))
 
 
 def _logsumexp(v):
@@ -246,13 +158,12 @@ def _run(inst, eps, config, stop_fn=None):
         raise ParameterError(f"eps={eps} must be below L={L}")
 
     n, d = inst.n, inst.d
-    ker = inst.kernel
+    A = inst.A
     inv_L = 1.0 / L
     b = inst.b * inv_L
     c = inst.c * inv_L
-    alpha, beta = config.alpha, config.beta
-    inv_beta = 1.0 / beta
-    T = iteration_budget(d, L, eps, config.t_multiplier)
+    inv_beta = 1.0 / BETA
+    T = iteration_budget(d, L, eps)
     check_every = config.check_every if config.check_every > 0 else max(1, math.ceil(T / 100))
 
     x = np.zeros(n)
@@ -280,47 +191,49 @@ def _run(inst, eps, config, stop_fn=None):
     exited_early = False
 
     for t in range(T):
-        absA_y = inv_L * ker.absA(y)
+        absA_y = inv_L * A.abs_matvec(y)
         two_diag = 2.0 * x * absA_y
-        absAT_x2 = inv_L * ker.absAT(x * x)
+        absAT_x2 = inv_L * A.abs_matvec_T(x * x)
 
-        gx = (inv_L * ker.A(y) + c) / 3.0
-        gy = (b - inv_L * ker.AT(x)) / 3.0
+        gx = (inv_L * A.matvec(y) + c) / 3.0
+        gy = (b - inv_L * A.matvec_T(x)) / 3.0
 
         x_star = project_box(-(gx - two_diag), 2.0 * absA_y)
-        ln_yp = log_project(ln_y, -inv_beta * (gy + inv_L * ker.absAT(x_star * x_star) - absAT_x2))
+        ln_yp = log_project(
+            ln_y, -inv_beta * (gy + inv_L * A.abs_matvec_T(x_star * x_star) - absAT_x2)
+        )
         yp = np.exp(ln_yp)
-        x_prime = project_box(-(gx - two_diag), 2.0 * inv_L * ker.absA(yp))
+        x_prime = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(yp))
 
         xhat_sum += x_prime
         yhat_sum += yp
 
-        gx = (inv_L * ker.A(yp) + c) / 6.0
-        gy = (b - inv_L * ker.AT(x_prime)) / 6.0
+        gx = (inv_L * A.matvec(yp) + c) / 6.0
+        gy = (b - inv_L * A.matvec_T(x_prime)) / 6.0
 
-        xbar_star = project_box(-(gx - two_diag), 2.0 * inv_L * ker.absA(ybar))
+        xbar_star = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(ybar))
         ln_y_next = log_project(
             ln_ybar,
             -inv_beta
             * (
                 gy
-                + inv_L * ker.absAT(xbar_star * xbar_star)
-                + alpha * ln_ybar
+                + inv_L * A.abs_matvec_T(xbar_star * xbar_star)
+                + ALPHA * ln_ybar
                 - absAT_x2
-                - alpha * ln_y
+                - ALPHA * ln_y
             ),
         )
         y_next = np.exp(ln_y_next)
-        x_next = project_box(-(gx - two_diag), 2.0 * inv_L * ker.absA(y_next))
+        x_next = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(y_next))
         ln_ybar_next = log_project(
             ln_y,
             -inv_beta
             * (
                 gy
-                + inv_L * ker.absAT(x_next * x_next)
-                + alpha * ln_y_next
+                + inv_L * A.abs_matvec_T(x_next * x_next)
+                + ALPHA * ln_y_next
                 - absAT_x2
-                - alpha * ln_y
+                - ALPHA * ln_y
             ),
         )
 
@@ -370,7 +283,7 @@ def solve(inst, eps, config=None):
     The step sequence follows the published listing literally: rescale
     (A, b, c) by 1/L, take T = ceil(6(8 log2 d + 1) L / eps) iterations of
     the gradient (factor 1/3) and extragradient (factor 1/6) oracles with
-    alpha = beta = 2, and return the running average.  The reported gap is
+    ALPHA = BETA = 2, and return the running average.  The reported gap is
     exact and in original (unrescaled) units.
     """
     pt, _, _ = _run(inst, eps, config or SolverConfig())

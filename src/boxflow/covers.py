@@ -85,6 +85,7 @@ class Cover:
     diameter: float
     radius: float  # covering radius D_i / tau
     clusterings: list = field(default_factory=list)
+    phi: list = field(default_factory=list)  # per clustering: potentials, array (n,)
     covering_index: np.ndarray = None  # per node: first clustering covering its ball
 
     @property
@@ -175,7 +176,8 @@ def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None):
     Node v is covered by clustering j once phi_j(v) > D/tau: the ball
     Ball(v, D/tau) leaves C_j(v) exactly when some node outside C_j(v)
     lies within D/tau of v, that is when dist(V \\ C_j(v), v) <= D/tau,
-    and phi_j(v) is that distance capped at D > D/tau.
+    and phi_j(v) is that distance capped at D > D/tau.  The cover keeps
+    every phi_j in cover.phi, the singleton scale's too.
 
     Raises CoverError if some ball is still uncovered after twice the
     target number of clusterings.
@@ -188,7 +190,9 @@ def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None):
 
     if diameter <= 1.0:
         # singleton scale; weights >= 1 make every covering ball trivial
-        cover.clusterings.append(_singleton_clustering(n))
+        clustering = _singleton_clustering(n)
+        cover.clusterings.append(clustering)
+        cover.phi.append(_clustering_potentials(g, clustering.ids, diameter))
         covering_index[:] = 0
         cover.covering_index = covering_index
         return cover
@@ -205,6 +209,7 @@ def build_cover(g, scale_index, diameter, tau, seed, num_clusterings=None):
         j = len(cover.clusterings)
         cover.clusterings.append(clustering)
         phi = _clustering_potentials(g, clustering.ids, diameter)
+        cover.phi.append(phi)
         covering_index[(covering_index < 0) & (phi > radius)] = j
         attempt += 1
         if (covering_index >= 0).all():
@@ -242,15 +247,6 @@ class DistanceStructureSet:
         return len(self.structures)
 
 
-def build_potentials(g, cover):
-    """phi_{V \\ C}(v) = min(dist_G(V \\ C, v), D_i) for every clustering.
-
-    Distances are in the full graph; an empty complement (one cluster
-    covering V) uses the convention +inf, capped to D_i.
-    """
-    return [_clustering_potentials(g, c.ids, cover.diameter) for c in cover.clusterings]
-
-
 def compute_pw(structure, tau):
     """p_{i,j}(v) = max(0, phi_{i,j}(v)/D_i - 0.25/tau); w_i = sum_j p_{i,j}."""
     D = structure.cover.diameter
@@ -270,7 +266,7 @@ def build_distance_structures(g, tau=None, seed=0, num_clusterings=None):
     structures = []
     for i, D in enumerate(scales.levels):
         cover = build_cover(g, i, D, tau, seed, num_clusterings=num)
-        structure = DistanceStructure(cover=cover, phi=build_potentials(g, cover))
+        structure = DistanceStructure(cover=cover, phi=cover.phi)
         compute_pw(structure, tau)
         structures.append(structure)
     return DistanceStructureSet(scales=scales, structures=structures, seed=seed, num_target=num)

@@ -6,6 +6,12 @@ t.  With M = (s R) B W^-1:
   max flow:       A^T = [M; -M]   b = [Rd; -Rd]/t   c = 0
   transshipment:  A   = [M, -M]   b = 0             c = -(Rd)/t
 
+The stacked matrix A is never formed: the game family is itself the
+operator, and each of its products is one product with M, M^T, |M| or
+|M|^T by the core (the CSR arrays of M, or the minor-aggregation
+simulator).  Its norm L = ||A||_{1->1} is the largest row l1 norm of M
+for max flow and the largest column l1 norm of M for transshipment.
+
 The certified game value at t measures the relative residual of the best
 flow of cost at most t: zero when t is at least the optimum and at least
 (OPT - t)/t below it.  A geometric grid over t is bisected for the
@@ -14,6 +20,11 @@ iterate also yields the primal flow, whose demand error is repaired by
 coarse recursive solves plus an exact shortest-path-tree routing.  The
 dual comes from one more solve just below the found threshold, following
 the primal-dual extraction of the underlying reduction.
+
+The accuracy policy is fixed, in fractions of the caller's eps: probes
+run at eps_s = eps/PROBE_DIV, the t grid steps by 1 + eps/GRID_FACTOR,
+the dual solve runs at (1 - eps*DUAL_OFFSET) t, and repair stops at
+eps*REPAIR_THETA times ||R d||, solving its residuals at REPAIR_EPS.
 """
 
 import heapq
@@ -21,48 +32,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from boxflow.boxsimplex import (
-    BoxSimplexInstance,
-    ColStackKernel,
-    CsrKernel,
-    RowStackKernel,
-    SolverConfig,
-    solve_decide,
-)
+from boxflow.boxsimplex import BoxSimplexInstance, solve_decide
 from boxflow.graphs import apply_B, apply_BT, validate_demand
-from boxflow.sparsemat import ColSparseMatrix
 from boxflow.tree_approx import build_mf_approximator
 from boxflow.ts_approx import build_ts_approximator
+
+PROBE_DIV = 6.0
+GRID_FACTOR = 4.0
+DUAL_OFFSET = 0.5
+REPAIR_THETA = 0.125
+REPAIR_EPS = 0.5
+MAX_BRACKET_EXPANSIONS = 6
+MAX_REPAIR_ROUNDS = 60
 
 
 class FlowSolveError(RuntimeError):
     pass
-
-
-@dataclass
-class FlowConfig:
-    """Accuracy policy derived from the caller's eps.
-
-    probe_div: probe accuracy is eps/probe_div and the threshold test is
-    value <= 2*eps/probe_div.  grid_factor: multiplicative step 1 +
-    eps/grid_factor.  dual_offset: the dual solve runs at (1 -
-    eps*dual_offset) * t.  repair_theta: repair down to eps*repair_theta
-    times ||R d||.
-    """
-
-    probe_div: float = 6.0
-    grid_factor: float = 4.0
-    dual_offset: float = 0.5
-    repair_theta: float = 0.125
-    repair_eps: float = 0.5
-    max_bracket_expansions: int = 6
-    max_repair_rounds: int = 60
-    early_exit: bool = True
-    alpha: float = 2.0
-    beta: float = 2.0
-    t_multiplier: float = 6.0
 
 
 @dataclass
@@ -92,64 +78,74 @@ class SolveReport:
 
 
 class CentralizedCore:
-    """Products with M and s*R via the raw CSR kernels."""
+    """Products with M and s*R on their CSR arrays."""
 
     def __init__(self, approx):
-        self._mk = CsrKernel(approx.game_operator())
-        self._rk = CsrKernel(approx.scaled_R())
+        self._M = approx.game_operator()
+        self._R = approx.scaled_R()
         self.rounds = 0  # minor-aggregation cores count; centralized is free
 
     def mul_M(self, x):
-        return self._mk.A(x)
+        return self._M._mul(x)
 
     def mul_MT(self, y):
-        return self._mk.AT(y)
+        return self._M._mul_T(y)
 
     def mul_absM(self, x):
-        return self._mk.absA(x)
+        return self._M._abs_mul(x)
 
     def mul_absMT(self, y):
-        return self._mk.absAT(y)
+        return self._M._abs_mul_T(y)
 
     def mul_R(self, d):
-        return self._rk.A(d)
+        return self._R._mul(d)
 
     def mul_RT(self, y):
-        return self._rk.AT(y)
-
-
-def _stack_rows(mat):
-    """Explicit game matrix with A^T = [M; -M]: A = [M^T, -M^T]."""
-    csc = mat.to_csc()
-    game = sp.hstack([csc.T.tocsc(), -csc.T.tocsc()], format="csc")
-    return ColSparseMatrix(game, col_bound=None)
-
-
-def _stack_cols(mat):
-    """Explicit game matrix A = [M, -M]."""
-    csc = mat.to_csc()
-    game = sp.hstack([csc, -csc], format="csc")
-    return ColSparseMatrix(game, col_bound=2 * mat.col_bound)
+        return self._R._mul_T(y)
 
 
 class _GameFamily:
-    """The t-independent parts of the game family for one problem."""
+    """The t-independent parts of one problem's game family.
+
+    The family is also the game matrix A as an operator.  The simplex
+    side is two copies of `half` coordinates, and each product is one
+    core product: A = [M^T, -M^T] for max flow (half = rows of M) and
+    A = [M, -M] for transshipment (half = columns of M).
+    """
 
     def __init__(self, problem, g, approx, core):
         self.problem = problem
         self.g = g
         self.approx = approx
         self.core = core
-        self.k = approx.scaled_R().n_rows
-        self.m = g.m
         self.rd = None
+        M = approx.game_operator()
         if problem == "maxflow":
-            self.game_A = _stack_rows(approx.game_operator())
-            self.kernel = RowStackKernel(core, self.k)
+            self.half = M.n_rows
+            self.shape = (M.n_cols, 2 * M.n_rows)
+            self._fwd, self._bwd = core.mul_MT, core.mul_M
+            self._abs_fwd, self._abs_bwd = core.mul_absMT, core.mul_absM
+            self.L = M.inf_to_inf_norm()
         else:
-            self.game_A = _stack_cols(approx.game_operator())
-            self.kernel = ColStackKernel(core, self.m)
-        self.L = self.game_A.one_to_one_norm()
+            self.half = M.n_cols
+            self.shape = (M.n_rows, 2 * M.n_cols)
+            self._fwd, self._bwd = core.mul_M, core.mul_MT
+            self._abs_fwd, self._abs_bwd = core.mul_absM, core.mul_absMT
+            self.L = M.one_to_one_norm()
+
+    def matvec(self, y):
+        return self._fwd(y[: self.half] - y[self.half :])
+
+    def matvec_T(self, x):
+        v = self._bwd(x)
+        return np.concatenate([v, -v])
+
+    def abs_matvec(self, y):
+        return self._abs_fwd(y[: self.half] + y[self.half :])
+
+    def abs_matvec_T(self, x):
+        v = self._abs_bwd(x)
+        return np.concatenate([v, v])
 
     def set_demand(self, d):
         self.rd = self.core.mul_R(np.asarray(d, dtype=np.float64))
@@ -160,17 +156,17 @@ class _GameFamily:
     def instance_at(self, t):
         if self.problem == "maxflow":
             b = np.concatenate([self.rd, -self.rd]) / t
-            c = np.zeros(self.m)
+            c = np.zeros(self.g.m)
         else:
-            b = np.zeros(2 * self.m)
+            b = np.zeros(2 * self.g.m)
             c = -self.rd / t
-        return BoxSimplexInstance(self.game_A, b, c, kernel=self.kernel, L=self.L)
+        return BoxSimplexInstance(self, b, c, L=self.L)
 
     def extract_primal(self, t, pt):
         w = self.g.weight
         if self.problem == "maxflow":
             return t * pt.x / w
-        y1, y2 = pt.y[: self.m], pt.y[self.m :]
+        y1, y2 = pt.y[: self.half], pt.y[self.half :]
         return t * (y1 - y2) / w
 
 
@@ -182,34 +178,19 @@ class _Probe:
     point: object
 
 
-def _solver_config(cfg, trace=False):
-    return SolverConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        t_multiplier=cfg.t_multiplier,
-        early_exit=cfg.early_exit,
-        collect_trace=trace,
-    )
-
-
-def _run_probe(family, t, eps_probe, threshold, cfg):
+def _run_probe(family, t, eps_probe, threshold):
     inst = family.instance_at(t)
     eps_eff = min(eps_probe, inst.L / 2) if inst.L > 0 else eps_probe
-    sc = _solver_config(cfg)
     if family.problem == "maxflow":
-        pt, up, lo = solve_decide(
-            inst, eps_eff, config=sc, upper_at_most=threshold, lower_above=threshold
-        )
+        pt, up, lo = solve_decide(inst, eps_eff, upper_at_most=threshold, lower_above=threshold)
         value = up
     else:
-        pt, up, lo = solve_decide(
-            inst, eps_eff, config=sc, upper_at_most=-threshold, lower_above=-threshold
-        )
+        pt, up, lo = solve_decide(inst, eps_eff, upper_at_most=-threshold, lower_above=-threshold)
         value = -lo
     return _Probe(t=t, yes=value <= threshold, value=value, point=pt)
 
 
-def _threshold_search(family, eps, cfg, trace, counters):
+def _threshold_search(family, eps, trace, counters):
     """Smallest grid t whose certified game value is at most 2 eps_s."""
     est = family.estimate()
     if est <= 0:
@@ -217,16 +198,16 @@ def _threshold_search(family, eps, cfg, trace, counters):
     rho = family.approx.calibration.rho
     if not (rho and math.isfinite(rho)):
         rho = max(4.0, family.L) * family.g.n
-    eps_s = eps / cfg.probe_div
+    eps_s = eps / PROBE_DIV
     threshold = 2.0 * eps_s
-    step = 1.0 + eps / cfg.grid_factor
+    step = 1.0 + eps / GRID_FACTOR
     t_lo = est / (2.0 * rho)
     t_hi = est * 1.05
     cache = {}
 
     def probe(k):
         if k not in cache:
-            p = _run_probe(family, t_lo * step**k, eps_s, threshold, cfg)
+            p = _run_probe(family, t_lo * step**k, eps_s, threshold)
             counters["iterations"] += p.point.iterations
             counters["solves"] += 1
             trace.append((p.t, p.value, bool(p.yes)))
@@ -234,17 +215,17 @@ def _threshold_search(family, eps, cfg, trace, counters):
         return cache[k]
 
     K = max(1, math.ceil(math.log(t_hi / t_lo) / math.log(step)))
-    for _ in range(cfg.max_bracket_expansions):
+    for _ in range(MAX_BRACKET_EXPANSIONS):
         if probe(K).yes:
             break
         K = math.ceil(K * 1.5) + 4
     else:
         raise FlowSolveError("no threshold with small game value found; bracket exhausted")
 
-    lo_k = 0
     if probe(0).yes:
-        # estimate was loose on the high side; walk the bracket down
-        for _ in range(cfg.max_bracket_expansions):
+        # estimate was loose on the high side; walk the bracket down, and
+        # accept the lowest YES if t_lo gets tiny
+        for _ in range(MAX_BRACKET_EXPANSIONS):
             shift = max(8, K // 2)
             t_lo /= step**shift
             shifted = {k + shift: p for k, p in cache.items()}
@@ -253,8 +234,6 @@ def _threshold_search(family, eps, cfg, trace, counters):
             K += shift
             if not probe(0).yes:
                 break
-        else:
-            pass  # t_lo is tiny; accept the lowest YES
     hi_k = min(k for k, p in cache.items() if p.yes)
     lo_k = max([k for k, p in cache.items() if k < hi_k and not p.yes], default=-1)
     while hi_k - lo_k > 1:
@@ -304,7 +283,7 @@ def _spt_route(g, d):
     return flow
 
 
-def repair_flow(g, approx, d_resid, threshold, cfg=None, core=None, counters=None):
+def repair_flow(g, approx, d_resid, threshold, core=None, counters=None):
     """Flow f with B f = d_resid (exact tree routing at the end).
 
     Coarse recursive solves shrink the residual in approximator norm until
@@ -312,7 +291,6 @@ def repair_flow(g, approx, d_resid, threshold, cfg=None, core=None, counters=Non
     remainder are small, then the remainder is routed on a shortest-path
     tree.
     """
-    cfg = cfg or FlowConfig()
     counters = counters if counters is not None else {"iterations": 0, "solves": 0}
     d_r = np.asarray(d_resid, dtype=np.float64).copy()
     total = np.zeros(g.m)
@@ -321,17 +299,16 @@ def repair_flow(g, approx, d_resid, threshold, cfg=None, core=None, counters=Non
     core = core or CentralizedCore(approx)
     family = _GameFamily("maxflow" if approx.norm_kind == "linf" else "transshipment", g, approx, core)
     rounds = 0
-    eps_rep = cfg.repair_eps
+    eps_rep = REPAIR_EPS
     prev = math.inf
-    while rounds < cfg.max_repair_rounds:
+    while rounds < MAX_REPAIR_ROUNDS:
         est = approx.vec_norm(core.mul_R(d_r))
         tree = _spt_route(g, d_r)
         tree_cost = _cost(g, tree, approx.norm_kind)
         if (est <= threshold and tree_cost <= threshold) or est == 0.0:
             break
         family.set_demand(d_r)
-        sub_cfg = cfg
-        probe = _threshold_search(family, eps_rep, sub_cfg, trace=[], counters=counters)
+        probe = _threshold_search(family, eps_rep, trace=[], counters=counters)
         f_k = family.extract_primal(probe.t, probe.point)
         total += f_k
         d_r = d_r - apply_B(g, f_k)
@@ -350,19 +327,18 @@ def _cost(g, flow, norm_kind):
     return float(scaled.sum())
 
 
-def _extract_dual(family, t_found, eps, cfg, counters):
+def _extract_dual(family, t_found, eps, counters):
     g = family.g
-    t_dual = (1.0 - eps * cfg.dual_offset) * t_found
+    t_dual = (1.0 - eps * DUAL_OFFSET) * t_found
     inst = family.instance_at(t_dual)
-    eps_s = min(eps / cfg.probe_div, inst.L / 2 if inst.L > 0 else math.inf)
-    sc = _solver_config(cfg)
+    eps_s = min(eps / PROBE_DIV, inst.L / 2 if inst.L > 0 else math.inf)
     if family.problem == "maxflow":
-        pt, _up, _lo = solve_decide(inst, eps_s, config=sc, lower_above=0.0)
-        y1, y2 = pt.y[: family.k], pt.y[family.k :]
+        pt, _up, _lo = solve_decide(inst, eps_s, lower_above=0.0)
+        y1, y2 = pt.y[: family.half], pt.y[family.half :]
         phi = -family.core.mul_RT(y1 - y2)
         norm = float(np.abs(apply_BT(g, phi) / g.weight).sum())
     else:
-        pt, _up, _lo = solve_decide(inst, eps_s, config=sc, upper_at_most=0.0)
+        pt, _up, _lo = solve_decide(inst, eps_s, upper_at_most=0.0)
         phi = t_dual * family.core.mul_RT(pt.x)
         norm = float(np.abs(apply_BT(g, phi) / g.weight).max(initial=0.0))
     counters["iterations"] += pt.iterations
@@ -373,12 +349,11 @@ def _extract_dual(family, t_found, eps, cfg, counters):
     return phi, t_dual
 
 
-def _solve_flow(problem, g, d, eps, approx, seed, cfg, core):
+def _solve_flow(problem, g, d, eps, approx, seed, core):
     d = np.asarray(d, dtype=np.float64)
     validate_demand(d)
     if not (0 < eps < 0.5):
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-    cfg = cfg or FlowConfig()
     norm_kind = "linf" if problem == "maxflow" else "l1"
 
     if not np.any(d):
@@ -411,19 +386,17 @@ def _solve_flow(problem, g, d, eps, approx, seed, cfg, core):
     trace = []
     counters = {"iterations": 0, "solves": 0}
 
-    found = _threshold_search(family, eps, cfg, trace, counters)
+    found = _threshold_search(family, eps, trace, counters)
     t_final = found.t
     f_raw = family.extract_primal(t_final, found.point)
 
     d_resid = d - apply_B(g, f_raw)
-    threshold = eps * cfg.repair_theta * family.estimate()
-    f_rep, repair_rounds = repair_flow(
-        g, approx, d_resid, threshold, cfg=cfg, core=core, counters=counters
-    )
+    threshold = eps * REPAIR_THETA * family.estimate()
+    f_rep, repair_rounds = repair_flow(g, approx, d_resid, threshold, core=core, counters=counters)
     flow = f_raw + f_rep
     resid = float(np.abs(apply_B(g, flow) - d).sum()) / max(float(np.abs(d).sum()), 1e-300)
 
-    phi, t_dual = _extract_dual(family, t_final, eps, cfg, counters)
+    phi, t_dual = _extract_dual(family, t_final, eps, counters)
     dual_value = float(d @ phi)
     if dual_value < 0:
         phi = -phi
@@ -453,38 +426,32 @@ def _solve_flow(problem, g, d, eps, approx, seed, cfg, core):
         approx_scale=approx.scale,
         approx_rho=approx.calibration.rho,
         game_norm=family.L,
-        rounds_total=getattr(core, "rounds", 0),
+        rounds_total=core.rounds,
         seed=seed,
     )
 
 
-def build_maxflow_instance(g, approx, d, t):
-    """Explicit box-simplex instance of the congestion game at guess t."""
+def build_instance(problem, g, approx, d, t):
+    """Box-simplex instance of the "maxflow" or "transshipment" game at
+    cost guess t."""
+    if problem not in ("maxflow", "transshipment"):
+        raise ValueError(f"unknown problem {problem!r}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    family = _GameFamily("maxflow", g, approx, CentralizedCore(approx))
+    family = _GameFamily(problem, g, approx, CentralizedCore(approx))
     family.set_demand(np.asarray(d, dtype=np.float64))
     return family.instance_at(t)
 
 
-def build_ts_instance(g, approx, d, t):
-    """Explicit box-simplex instance of the transshipment game at guess t."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    family = _GameFamily("transshipment", g, approx, CentralizedCore(approx))
-    family.set_demand(np.asarray(d, dtype=np.float64))
-    return family.instance_at(t)
-
-
-def solve_maxflow(g, d, eps, approx=None, seed=0, cfg=None, core=None):
+def solve_maxflow(g, d, eps, approx=None, seed=0, core=None):
     """(1+eps)-approximate min-congestion routing of d, primal and dual."""
     if approx is None:
         approx = build_mf_approximator(g, seed=seed)
-    return _solve_flow("maxflow", g, d, eps, approx, seed, cfg, core)
+    return _solve_flow("maxflow", g, d, eps, approx, seed, core)
 
 
-def solve_transshipment(g, d, eps, approx=None, seed=0, cfg=None, core=None):
+def solve_transshipment(g, d, eps, approx=None, seed=0, core=None):
     """(1+eps)-approximate transshipment of d, primal and dual."""
     if approx is None:
         approx = build_ts_approximator(g, seed=seed)
-    return _solve_flow("transshipment", g, d, eps, approx, seed, cfg, core)
+    return _solve_flow("transshipment", g, d, eps, approx, seed, core)

@@ -1,14 +1,24 @@
 """Column-sparse matrices and the four matrix-vector primitives.
 
-Storage is column-major nonzero lists (scipy CSC) with a declared
-per-column nonzero bound.  Row-major views are materialized once at
-construction because the transpose products are evaluated every solver
-iteration.  All products are plain sequential scipy kernels, so results
-are deterministic.
+A matrix is stored once by columns (scipy CSC) with a declared
+per-column nonzero bound, and once by rows (CSR).  The CSC arrays of M
+are the CSR arrays of M^T, so these two serve all four products M x,
+M^T y, |M| x and |M|^T y; the |M| data arrays are built on first use.
+Every product is one call of scipy's sequential CSR kernel, so results
+are deterministic and bit-identical to scipy's own M @ x.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+
+def _csr_matvec(n_out, n_in, indptr, indices, data, x):
+    out = np.zeros(n_out)
+    _sparsetools.csr_matvec(n_out, n_in, indptr, indices, data, x, out)
+    return out
 
 
 class ColSparseMatrix:
@@ -17,21 +27,15 @@ class ColSparseMatrix:
     def __init__(self, csc, col_bound=None):
         if not sp.issparse(csc):
             raise ValueError("expected a scipy sparse matrix")
-        csc = sp.csc_matrix(csc)
+        csc = sp.csc_matrix(csc, dtype=np.float64)
         csc.sort_indices()
         csc.sum_duplicates()
         csc.eliminate_zeros()
         self._csc = csc
         self._csr = csc.tocsr()
-        # CSC(M).T is a CSR view of M^T sharing index arrays.
-        self._csrT = csc.T.tocsr()
-        self._abs_csr = sp.csr_matrix(
-            (np.abs(self._csr.data), self._csr.indices, self._csr.indptr), shape=csc.shape
-        )
-        self._abs_csrT = sp.csr_matrix(
-            (np.abs(self._csrT.data), self._csrT.indices, self._csrT.indptr),
-            shape=(csc.shape[1], csc.shape[0]),
-        )
+        n_rows, n_cols = csc.shape
+        self._fwd = (n_rows, n_cols, self._csr.indptr, self._csr.indices)
+        self._bwd = (n_cols, n_rows, csc.indptr, csc.indices)
         actual = self.max_col_nnz()
         self.col_bound = int(col_bound) if col_bound is not None else actual
         if actual > self.col_bound:
@@ -95,23 +99,42 @@ class ColSparseMatrix:
 
     def matvec(self, x):
         """M @ x."""
-        x = self._check_len(x, self.n_cols, "matvec")
-        return self._csr.dot(x)
+        return self._mul(self._check_len(x, self.n_cols, "matvec"))
 
     def matvec_T(self, y):
         """M.T @ y."""
-        y = self._check_len(y, self.n_rows, "matvec_T")
-        return self._csrT.dot(y)
+        return self._mul_T(self._check_len(y, self.n_rows, "matvec_T"))
 
     def abs_matvec(self, x):
         """|M| @ x with entrywise absolute values."""
-        x = self._check_len(x, self.n_cols, "abs_matvec")
-        return self._abs_csr.dot(x)
+        return self._abs_mul(self._check_len(x, self.n_cols, "abs_matvec"))
 
     def abs_matvec_T(self, y):
         """|M|.T @ y."""
-        y = self._check_len(y, self.n_rows, "abs_matvec_T")
-        return self._abs_csrT.dot(y)
+        return self._abs_mul_T(self._check_len(y, self.n_rows, "abs_matvec_T"))
+
+    # The same four products without the length check, for the solver's
+    # inner loop; the caller passes vectors of the right length.
+
+    def _mul(self, x):
+        return _csr_matvec(*self._fwd, self._csr.data, x)
+
+    def _mul_T(self, y):
+        return _csr_matvec(*self._bwd, self._csc.data, y)
+
+    def _abs_mul(self, x):
+        return _csr_matvec(*self._fwd, self._abs_csr_data, x)
+
+    def _abs_mul_T(self, y):
+        return _csr_matvec(*self._bwd, self._abs_csc_data, y)
+
+    @cached_property
+    def _abs_csr_data(self):
+        return np.abs(self._csr.data)
+
+    @cached_property
+    def _abs_csc_data(self):
+        return np.abs(self._csc.data)
 
     def one_to_one_norm(self):
         """max_v ||Mv||_1 / ||v||_1 = largest column l1 norm."""
@@ -120,32 +143,16 @@ class ColSparseMatrix:
         colsums = np.asarray(abs(self._csc).sum(axis=0)).ravel()
         return float(colsums.max())
 
+    def inf_to_inf_norm(self):
+        """max_v ||Mv||_inf / ||v||_inf = largest row l1 norm."""
+        if self.n_rows == 0 or self.nnz == 0:
+            return 0.0
+        rowsums = np.asarray(abs(self._csr).sum(axis=1)).ravel()
+        return float(rowsums.max())
+
     def scaled(self, factor):
         """New matrix factor * M with the same declared bound."""
         return ColSparseMatrix(self._csc * float(factor), col_bound=self.col_bound)
-
-    # -- debug dump format ------------------------------------------------
-
-    def dump_triplets(self):
-        """Text dump, one "row col value" line per nonzero (hex floats)."""
-        coo = self._csc.tocoo()
-        order = np.lexsort((coo.row, coo.col))
-        lines = [f"{coo.shape[0]} {coo.shape[1]} {self.col_bound}"]
-        for k in order:
-            lines.append(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k]).hex()}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load_triplets(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n_rows, n_cols, bound = (int(tok) for tok in lines[0].split())
-        rows, cols, vals = [], [], []
-        for ln in lines[1:]:
-            r, c, v = ln.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float.fromhex(v))
-        return cls.from_triplets(n_rows, n_cols, rows, cols, vals, col_bound=bound)
 
     def __repr__(self):
         return (

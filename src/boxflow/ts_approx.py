@@ -107,7 +107,6 @@ class TsApproximator(BaseApproximator):
         super().__init__(graph, R_raw, row_decode, seed)
         self.structures = structures
         self.weight_scale = weight_scale
-        self.tau = structures.scales.tau if structures is not None else None
 
 
 def _normalized_graph(g):

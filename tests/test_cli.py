@@ -141,19 +141,3 @@ def test_validation_exit_codes(files, tmp_path):
     badg.write_text("0 0 1\n")
     assert main(["oracle", "--graph", str(badg), "--demand", files["fig1"],
                  "--problem", "congestion"]) == 1
-
-
-def test_serialization_roundtrip(files):
-    from boxflow.graphs import load_graph
-    from boxflow.serialize import load_approximator, save_approximator
-    from boxflow.tree_approx import build_mf_approximator
-    from boxflow.ts_approx import build_ts_approximator
-
-    g = load_graph(EIGHT_CYCLE)
-    for build in (build_ts_approximator, build_mf_approximator):
-        approx = build(g, seed=5)
-        text = save_approximator(approx)
-        again = load_approximator(g, text)
-        assert np.array_equal(again.R.to_dense(), approx.R.to_dense())
-        assert again.scale == approx.scale
-        assert save_approximator(again) == text

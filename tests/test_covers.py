@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from boxflow.covers import (
+    _clustering_potentials,
     build_cover,
     build_distance_structures,
-    build_potentials,
     build_scales,
     compute_pw,
     default_tau,
@@ -177,7 +177,7 @@ def test_cover_deterministic(eight_cycle):
 def test_potentials_singleton():
     g = path_graph(4, [2.0, 1.0, 3.0])
     cover = build_cover(g, 0, 1.0, 2, seed=0)
-    phis = build_potentials(g, cover)
+    phis = [_clustering_potentials(g, c.ids, cover.diameter) for c in cover.clusterings]
     # singleton: distance to nearest other node, capped at D=1
     assert phis[0][0] == 1.0  # min(2, 1)
     assert phis[0][1] == 1.0
@@ -186,25 +186,17 @@ def test_potentials_singleton():
 
 
 def test_potentials_whole_graph_convention(eight_cycle):
-    cover = build_cover(eight_cycle, 1, 16.0, 2, seed=4)
-    # force a single all-V clustering in front to test the convention
-    from boxflow.covers import _make_clustering
-
-    cover.clusterings.insert(0, _make_clustering(np.zeros(8, dtype=np.int64)))
-    phis = build_potentials(eight_cycle, cover)
-    assert np.all(phis[0] == 16.0)
+    # a single all-V cluster has an empty complement: phi is the cap D
+    phi = _clustering_potentials(eight_cycle, np.zeros(8, dtype=np.int64), 16.0)
+    assert np.all(phi == 16.0)
 
 
 def test_potentials_arc_pattern(eight_cycle):
-    from boxflow.covers import Cover, _make_clustering
-
-    ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    cover = Cover(scale_index=1, diameter=16.0, radius=8.0)
-    cover.clusterings.append(_make_clustering(ids))
-    phis = build_potentials(eight_cycle, cover)
+    ids = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int64)
+    phi = _clustering_potentials(eight_cycle, ids, 16.0)
     # arc 0-1-2-3: distance to complement {4..7} is [1, 2, 2, 1]
-    assert list(phis[0][:4]) == [1.0, 2.0, 2.0, 1.0]
-    assert list(phis[0][4:]) == [1.0, 2.0, 2.0, 1.0]
+    assert list(phi[:4]) == [1.0, 2.0, 2.0, 1.0]
+    assert list(phi[4:]) == [1.0, 2.0, 2.0, 1.0]
 
 
 def test_distance_structure_properties():
@@ -306,9 +298,10 @@ def test_potentials_match_reference_distances():
         dists = {u: graph_distances(g, u) for u in range(g.n)}
         for st in ds.structures:
             D = st.cover.diameter
-            phis = build_potentials(g, st.cover)
             for j, clustering in enumerate(st.cover.clusterings):
                 ids = clustering.ids
+                phi = _clustering_potentials(g, ids, D)
+                assert np.array_equal(st.phi[j], phi)
                 for v in range(g.n):
                     outside = [dists[u][v] for u in range(g.n) if ids[u] != ids[v]]
-                    assert phis[j][v] == min([D] + outside)
+                    assert phi[v] == min([D] + outside)

@@ -5,10 +5,8 @@ from boxflow.boxsimplex import solve
 from boxflow.graphs import Graph, apply_B, apply_BT
 from boxflow.oracle import opt_congestion, opt_transshipment
 from boxflow.solvers import (
-    FlowConfig,
     FlowSolveError,
-    build_maxflow_instance,
-    build_ts_instance,
+    build_instance,
     repair_flow,
     solve_maxflow,
     solve_transshipment,
@@ -43,17 +41,17 @@ def ts_approx(cycle8):
 
 def test_maxflow_instance_value_orientation(cycle8, mf_approx):
     # at t far above OPT the game value certifies as (near) zero
-    inst = build_maxflow_instance(cycle8, mf_approx, FIG2_DEMAND, t=100.0)
+    inst = build_instance("maxflow", cycle8, mf_approx, FIG2_DEMAND, t=100.0)
     pt = solve(inst, 0.05)
     assert inst.eval_box_form(pt.x) <= 0.1
     # well below OPT = 1.5 the value stays bounded away from zero
-    inst_low = build_maxflow_instance(cycle8, mf_approx, FIG2_DEMAND, t=0.75)
+    inst_low = build_instance("maxflow", cycle8, mf_approx, FIG2_DEMAND, t=0.75)
     pt_low = solve(inst_low, 0.05)
     assert inst_low.eval_simplex_form(pt_low.y) >= 0.5  # (OPT-t)/t - gap = 1 - eps
 
 
 def test_maxflow_instance_near_opt_value_small(cycle8, mf_approx):
-    inst = build_maxflow_instance(cycle8, mf_approx, FIG2_DEMAND, t=1.5)
+    inst = build_instance("maxflow", cycle8, mf_approx, FIG2_DEMAND, t=1.5)
     pt = solve(inst, 0.05)
     # t = OPT makes the optimal primal achieve value zero
     assert inst.eval_box_form(pt.x) <= 0.15
@@ -63,32 +61,65 @@ def test_single_edge_maxflow_value():
     g = Graph(2, [(0, 1, 3.0)])
     approx = build_mf_approximator(g, seed=0)
     d = np.array([1.0, -1.0])
-    inst = build_maxflow_instance(g, approx, d, t=3.0 * approx.scale)
+    inst = build_instance("maxflow", g, approx, d, t=3.0 * approx.scale)
     pt = solve(inst, 0.05)
     assert inst.eval_box_form(pt.x) <= 0.1
 
 
 def test_ts_instance_zero_demand_zero_value(cycle8, ts_approx):
-    inst = build_ts_instance(cycle8, ts_approx, np.zeros(8), t=1.0)
+    inst = build_instance("transshipment", cycle8, ts_approx, np.zeros(8), t=1.0)
     assert inst.eval_simplex_form(np.full(16, 1 / 16.0)) == 0.0
 
 
 def test_ts_instance_thresholds(cycle8, ts_approx):
     # t at or above OPT = 4 solves to a residual value near zero
-    inst_hi = build_ts_instance(cycle8, ts_approx, FIG1_DEMAND, t=4.0)
+    inst_hi = build_instance("transshipment", cycle8, ts_approx, FIG1_DEMAND, t=4.0)
     pt = solve(inst_hi, 0.05)
     assert -inst_hi.eval_simplex_form(pt.y) <= 0.12
     # well below OPT the value stays bounded away from zero
-    inst_lo = build_ts_instance(cycle8, ts_approx, FIG1_DEMAND, t=1.0)
+    inst_lo = build_instance("transshipment", cycle8, ts_approx, FIG1_DEMAND, t=1.0)
     pt_lo = solve(inst_lo, 0.05)
     assert -inst_lo.eval_box_form(pt_lo.x) >= 0.5
 
 
 def test_instance_rejects_bad_t(cycle8, ts_approx, mf_approx):
     with pytest.raises(ValueError):
-        build_ts_instance(cycle8, ts_approx, FIG1_DEMAND, t=0.0)
+        build_instance("transshipment", cycle8, ts_approx, FIG1_DEMAND, t=0.0)
     with pytest.raises(ValueError):
-        build_maxflow_instance(cycle8, mf_approx, FIG2_DEMAND, t=-1.0)
+        build_instance("maxflow", cycle8, mf_approx, FIG2_DEMAND, t=-1.0)
+    with pytest.raises(ValueError):
+        build_instance("mincut", cycle8, mf_approx, FIG2_DEMAND, t=1.0)
+
+
+@pytest.mark.parametrize("graph", ["cycle8", "float-random"])
+@pytest.mark.parametrize("problem", ["maxflow", "transshipment"])
+def test_game_operator_matches_dense_stack(problem, graph):
+    # the family's implicit A against the explicit [M^T, -M^T] or [M, -M]
+    rng = np.random.default_rng(11)
+    if graph == "cycle8":
+        g, d = cycle_graph(8), FIG1_DEMAND
+    else:
+        g = random_connected_graph(24, rng, weight_choices=(0.37, 1.7, 3.3))
+        d = random_demand(24, rng)
+    build = build_mf_approximator if problem == "maxflow" else build_ts_approximator
+    approx = build(g, seed=2, calibrate_scale=False)
+    approx.set_scale(1.37)
+    M = approx.game_operator().to_dense()
+    dense = np.hstack([M.T, -M.T]) if problem == "maxflow" else np.hstack([M, -M])
+    inst = build_instance(problem, g, approx, d, t=2.0)
+    assert inst.A.shape == dense.shape == (inst.n, inst.d)
+    for _ in range(3):
+        y = rng.normal(size=inst.d)
+        x = rng.normal(size=inst.n)
+        for got, want in [
+            (inst.A.matvec(y), dense @ y),
+            (inst.A.matvec_T(x), dense.T @ x),
+            (inst.A.abs_matvec(y), np.abs(dense) @ y),
+            (inst.A.abs_matvec_T(x), np.abs(dense).T @ x),
+        ]:
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    L = np.abs(dense).sum(axis=0).max()
+    assert abs(inst.L - L) <= 1e-12 * L
 
 
 def test_fig1_transshipment_solve(cycle8, ts_approx):
