@@ -2,9 +2,15 @@
 
 The game is  min over x in [-1,1]^n of max over y in the probability
 simplex of  x^T A y - <b, y> + <c, x>.  The solver is an extragradient
-scheme whose per-iteration work is a constant number of products with A,
-A^T, |A| and |A|^T, and it returns the running average of the iterates
-together with an exactly evaluated duality gap certificate.
+scheme, and it returns the running average of the iterates together with
+an exactly evaluated duality gap certificate.
+
+Each iteration makes ten products with A, A^T, |A| and |A|^T.  The
+listing makes twelve, but two of them, |A| y and |A|^T x^2, are the last
+half-step's |A| y_next and |A|^T x_next^2, so they are carried over; the
+arithmetic and every iterate are bit for bit the listing's.  The loop
+updates preallocated buffers and product outputs in place, and tests the
+iterates for finiteness only at the gap checkpoints.
 
 Simplex iterates are kept in the log domain: the multiplicative update
 y * exp(v) followed by l1 normalization becomes a log-sum-exp shift, which
@@ -13,7 +19,8 @@ cannot underflow no matter how many iterations run.
 A is any operator with a shape and the four products of a
 ColSparseMatrix (matvec, matvec_T, abs_matvec, abs_matvec_T): an explicit
 matrix, or a matrix that exists only as an operator, such as the stacked
-game matrices of the flow reductions.  The step weights ALPHA and BETA
+game matrices of the flow reductions.  Each product must return a new
+array, which the solver may overwrite.  The step weights ALPHA and BETA
 and the budget multiplier T_MULTIPLIER are the published listing's
 values and fixed.
 """
@@ -41,9 +48,11 @@ class NumericOverflowError(RuntimeError):
 class SolverConfig:
     """Bookkeeping knobs.
 
-    With early_exit the exact gap of the running average is evaluated
-    every check_every iterations (default ceil(T/100)) and the loop stops
-    once it reaches eps.
+    The exact gap of the running average is evaluated every check_every
+    iterations (default ceil(T/100)) and after the last one; with
+    early_exit the loop stops once it reaches eps.  The iterates are
+    tested for finiteness at the same checkpoints, so NumericOverflowError
+    comes at the first checkpoint after a NaN or infinity appears.
     """
 
     early_exit: bool = True
@@ -66,8 +75,8 @@ class BoxSimplexInstance:
     """An (A, b, c) game with A of shape (n, d).
 
     A is a ColSparseMatrix or any operator with its shape and four
-    products; L = ||A||_{1->1} must be supplied when A has no
-    one_to_one_norm().
+    products, each returning a new array; L = ||A||_{1->1} must be
+    supplied when A has no one_to_one_norm().
     """
 
     def __init__(self, A, b, c, L=None):
@@ -110,9 +119,29 @@ def iteration_budget(d, L, eps):
     return int(math.ceil(T_MULTIPLIER * (8.0 * math.log2(d) + 1.0) * L / eps))
 
 
-def _logsumexp(v):
-    m = v.max()
-    return m + math.log(np.exp(v - m).sum())
+def _log_project(ln_new, scratch):
+    """ln_new - logsumexp(ln_new), in place; scratch is a buffer of its length."""
+    m = ln_new.max()
+    np.subtract(ln_new, m, out=scratch)
+    np.exp(scratch, out=scratch)
+    ln_new -= m + math.log(scratch.sum())
+    return ln_new
+
+
+def _project_box(num, den, out):
+    """clip(num / max(den, FLOOR), -1, 1) into out; den is overwritten.
+
+    Where a row of A is identically zero the denominator vanishes and the
+    update degenerates to the clipped sign of the numerator; the floor
+    realizes exactly that limit.  maximum and minimum give np.clip's
+    results bit for bit, NaN and -0.0 included, at a fraction of its call
+    cost.
+    """
+    np.maximum(den, FLOOR, out=den)
+    np.divide(num, den, out=out)
+    np.maximum(out, -1.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    return out
 
 
 def _average(xhat_sum, yhat_sum, k):
@@ -160,9 +189,10 @@ def _run(inst, eps, config, stop_fn=None):
     n, d = inst.n, inst.d
     A = inst.A
     inv_L = 1.0 / L
+    two_inv_L = 2.0 * inv_L
+    neg_inv_beta = -(1.0 / BETA)
     b = inst.b * inv_L
     c = inst.c * inv_L
-    inv_beta = 1.0 / BETA
     T = iteration_budget(d, L, eps)
     check_every = config.check_every if config.check_every > 0 else max(1, math.ceil(T / 100))
 
@@ -173,105 +203,118 @@ def _run(inst, eps, config, stop_fn=None):
     ybar = y.copy()
     xhat_sum = np.zeros(n)
     yhat_sum = np.zeros(d)
+    # Carried from one iteration to the next: the last half-step computes
+    # |A| y_next and |A|^T x_next^2 anyway, and ALPHA ln_y_next is the
+    # next iteration's ALPHA ln_y.
+    absA_y = inv_L * A.abs_matvec(y)
+    absAT_x2 = inv_L * A.abs_matvec_T(x * x)
+    alpha_ln_y = ALPHA * ln_y
+    x_new, x_prime, two_diag, den, sq = (np.empty(n) for _ in range(5))
+    alpha_ln_next, scratch = np.empty(d), np.empty(d)
 
-    def project_box(num, den):
-        # Where a row of A is identically zero the denominator vanishes and
-        # the update degenerates to the clipped sign of the numerator; the
-        # floor realizes exactly that limit.
-        return np.clip(num / np.maximum(den, FLOOR), -1.0, 1.0)
+    def oracle(y_at, x_at, factor):
+        """-(gx - two_diag) and gy of the gradient at (x_at, y_at) / factor."""
+        num = A.matvec(y_at)
+        num *= inv_L
+        num += c
+        num /= factor
+        num -= two_diag
+        np.negative(num, out=num)  # not two_diag - gx, which flips zero signs
+        gy = A.matvec_T(x_at)
+        gy *= inv_L
+        np.subtract(b, gy, out=gy)
+        gy /= factor
+        return num, gy
 
-    def log_project(base_ln, v):
-        ln_new = base_ln + v
-        return ln_new - _logsumexp(ln_new)
+    def abs_T_squared(v):
+        p = A.abs_matvec_T(np.multiply(v, v, out=sq))
+        p *= inv_L
+        return p
+
+    def simplex_step(base_ln, acc, addend, alpha_ln_target=None):
+        """log_project(base_ln - (acc + addend - absAT_x2) / BETA), with
+        alpha_ln_target - alpha_ln_y inside the bracket for the prox-center
+        steps; built in acc, in the listing's order of operations."""
+        acc += addend
+        if alpha_ln_target is not None:
+            acc += alpha_ln_target
+        acc -= absAT_x2
+        if alpha_ln_target is not None:
+            acc -= alpha_ln_y
+        acc *= neg_inv_beta
+        acc += base_ln
+        return _log_project(acc, scratch)
 
     trace = []
     best_upper = math.inf
     best_lower = -math.inf
-    iterations_done = T
-    exited_early = False
 
     for t in range(T):
-        absA_y = inv_L * A.abs_matvec(y)
-        two_diag = 2.0 * x * absA_y
-        absAT_x2 = inv_L * A.abs_matvec_T(x * x)
+        np.multiply(2.0, x, out=two_diag)
+        two_diag *= absA_y
 
-        gx = (inv_L * A.matvec(y) + c) / 3.0
-        gy = (b - inv_L * A.matvec_T(x)) / 3.0
-
-        x_star = project_box(-(gx - two_diag), 2.0 * absA_y)
-        ln_yp = log_project(
-            ln_y, -inv_beta * (gy + inv_L * A.abs_matvec_T(x_star * x_star) - absAT_x2)
-        )
-        yp = np.exp(ln_yp)
-        x_prime = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(yp))
+        # gradient step from (x, y), factor 1/3
+        num, gy = oracle(y, x, 3.0)
+        np.multiply(2.0, absA_y, out=den)
+        x_star = _project_box(num, den, x_new)
+        yp = simplex_step(ln_y, abs_T_squared(x_star), gy)
+        np.exp(yp, out=yp)
+        p = A.abs_matvec(yp)
+        p *= two_inv_L
+        _project_box(num, p, x_prime)
 
         xhat_sum += x_prime
         yhat_sum += yp
 
-        gx = (inv_L * A.matvec(yp) + c) / 6.0
-        gy = (b - inv_L * A.matvec_T(x_prime)) / 6.0
+        # extragradient step from the prox center (x, ybar), factor 1/6
+        num, gy = oracle(yp, x_prime, 6.0)
+        p = A.abs_matvec(ybar)
+        p *= two_inv_L
+        xbar_star = _project_box(num, p, x_new)
+        np.multiply(ALPHA, ln_ybar, out=alpha_ln_next)
+        ln_y_next = simplex_step(ln_ybar, abs_T_squared(xbar_star), gy, alpha_ln_next)
+        y_next = np.exp(ln_y_next, out=y)
+        absA_y_next = A.abs_matvec(y_next)
+        np.multiply(absA_y_next, two_inv_L, out=den)
+        absA_y_next *= inv_L
+        x_next = _project_box(num, den, x_new)
+        absAT_x2_next = abs_T_squared(x_next)
+        np.multiply(ALPHA, ln_y_next, out=alpha_ln_next)
+        # built in gy, so that absAT_x2_next survives; still subtracts
+        # this iteration's absAT_x2 and ALPHA ln_y
+        ln_ybar = simplex_step(ln_y, gy, absAT_x2_next, alpha_ln_next)
 
-        xbar_star = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(ybar))
-        ln_y_next = log_project(
-            ln_ybar,
-            -inv_beta
-            * (
-                gy
-                + inv_L * A.abs_matvec_T(xbar_star * xbar_star)
-                + ALPHA * ln_ybar
-                - absAT_x2
-                - ALPHA * ln_y
-            ),
-        )
-        y_next = np.exp(ln_y_next)
-        x_next = project_box(-(gx - two_diag), 2.0 * inv_L * A.abs_matvec(y_next))
-        ln_ybar_next = log_project(
-            ln_y,
-            -inv_beta
-            * (
-                gy
-                + inv_L * A.abs_matvec_T(x_next * x_next)
-                + ALPHA * ln_y_next
-                - absAT_x2
-                - ALPHA * ln_y
-            ),
-        )
+        x, x_new = x_next, x
+        ln_y, y = ln_y_next, y_next
+        ybar = np.exp(ln_ybar, out=ybar)
+        absA_y, absAT_x2 = absA_y_next, absAT_x2_next
+        alpha_ln_y, alpha_ln_next = alpha_ln_next, alpha_ln_y
 
-        x = x_next
-        ln_y, ln_ybar = ln_y_next, ln_ybar_next
-        y, ybar = np.exp(ln_y), np.exp(ln_ybar)
-
+        if (t + 1) % check_every and t < T - 1:
+            continue
         if not np.isfinite(x).all() or not np.isfinite(ln_y).all():
-            raise NumericOverflowError(f"non-finite iterate at iteration {t}")
+            raise NumericOverflowError(f"non-finite iterate by iteration {t + 1}")
+        xa, ya = _average(xhat_sum, yhat_sum, t + 1)
+        up = inst.eval_box_form(xa)
+        lo = inst.eval_simplex_form(ya)
+        best_upper = min(best_upper, up)
+        best_lower = max(best_lower, lo)
+        if config.collect_trace:
+            trace.append((t + 1, up - lo, _entropy(ya)))
+        if stop_fn is not None and stop_fn(best_upper, best_lower):
+            break
+        if config.early_exit and up - lo <= eps:
+            break
 
-        if (t + 1) % check_every == 0 or t == T - 1:
-            xa, ya = _average(xhat_sum, yhat_sum, t + 1)
-            up = inst.eval_box_form(xa)
-            lo = inst.eval_simplex_form(ya)
-            best_upper = min(best_upper, up)
-            best_lower = max(best_lower, lo)
-            if config.collect_trace:
-                trace.append((t + 1, up - lo, _entropy(ya)))
-            if stop_fn is not None and stop_fn(best_upper, best_lower):
-                iterations_done = t + 1
-                exited_early = t + 1 < T
-                break
-            if config.early_exit and up - lo <= eps:
-                iterations_done = t + 1
-                exited_early = t + 1 < T
-                break
-
-    xa, ya = _average(xhat_sum, yhat_sum, iterations_done)
-    gap = inst.gap(xa, ya)
-    best_upper = min(best_upper, inst.eval_box_form(xa))
-    best_lower = max(best_lower, inst.eval_simplex_form(ya))
+    # The last iteration is a checkpoint, so every run ends on one and
+    # its average and bounds are the final certificate.
     pt = SaddlePoint(
         x=xa,
         y=ya,
-        iterations=iterations_done,
-        gap=gap,
+        iterations=t + 1,
+        gap=up - lo,
         scheduled_iterations=T,
-        early_exit=exited_early,
+        early_exit=t + 1 < T,
         trace=trace,
     )
     return pt, best_upper, best_lower

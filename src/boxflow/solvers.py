@@ -245,8 +245,9 @@ def _threshold_search(family, eps, trace, counters):
     return probe(hi_k)
 
 
-def _spt_route(g, d):
-    """Route d exactly on a shortest-path tree rooted at node 0."""
+def _shortest_path_tree(g):
+    """Shortest-path tree rooted at node 0, as the (node, parent edge,
+    parent, edge points to node) steps of a leaves-first walk."""
     adj = g.adjacency()
     dist = [math.inf] * g.n
     pred_edge = [-1] * g.n
@@ -267,15 +268,23 @@ def _spt_route(g, d):
                 pred_edge[v] = e
                 pred_node[v] = u
                 heapq.heappush(heap, (dist[v], v))
-    flow = np.zeros(g.m)
-    subtree = np.array(d, dtype=np.float64)
+    steps = []
     for u in reversed(order):
         if u == 0:
             continue
         e, par = pred_edge[u], pred_node[u]
+        steps.append((u, e, par, int(g.tail[e]) == par and int(g.head[e]) == u))
+    return steps
+
+
+def _route_on_tree(g, tree, d):
+    """Route d exactly on a tree from _shortest_path_tree."""
+    flow = np.zeros(g.m)
+    subtree = np.array(d, dtype=np.float64)
+    for u, e, par, toward_u in tree:
         q = subtree[u]
         # the parent edge carries the whole subtree imbalance outward
-        if int(g.tail[e]) == par and int(g.head[e]) == u:
+        if toward_u:
             flow[e] -= q
         else:
             flow[e] += q
@@ -298,13 +307,13 @@ def repair_flow(g, approx, d_resid, threshold, core=None, counters=None):
         return total, 0
     core = core or CentralizedCore(approx)
     family = _GameFamily("maxflow" if approx.norm_kind == "linf" else "transshipment", g, approx, core)
+    spt = _shortest_path_tree(g)  # independent of the residual
     rounds = 0
     eps_rep = REPAIR_EPS
     prev = math.inf
     while rounds < MAX_REPAIR_ROUNDS:
         est = approx.vec_norm(core.mul_R(d_r))
-        tree = _spt_route(g, d_r)
-        tree_cost = _cost(g, tree, approx.norm_kind)
+        tree_cost = _cost(g, _route_on_tree(g, spt, d_r), approx.norm_kind)
         if (est <= threshold and tree_cost <= threshold) or est == 0.0:
             break
         family.set_demand(d_r)
@@ -316,7 +325,7 @@ def repair_flow(g, approx, d_resid, threshold, core=None, counters=None):
         if est >= prev * 0.95:
             eps_rep = max(eps_rep / 2.0, 1e-3)
         prev = est
-    total += _spt_route(g, d_r)
+    total += _route_on_tree(g, spt, d_r)
     return total, rounds
 
 
