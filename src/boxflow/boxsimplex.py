@@ -50,9 +50,10 @@ class SolverConfig:
 
     The exact gap of the running average is evaluated every check_every
     iterations (default ceil(T/100)) and after the last one; with
-    early_exit the loop stops once it reaches eps.  The iterates are
-    tested for finiteness at the same checkpoints, so NumericOverflowError
-    comes at the first checkpoint after a NaN or infinity appears.
+    early_exit the loop stops once it reaches eps.  A non-finite entry of
+    b or c raises NumericOverflowError before the first iteration; the
+    iterates are tested for finiteness at the checkpoints, so a NaN or
+    infinity that appears later raises at the next checkpoint.
     """
 
     early_exit: bool = True
@@ -179,6 +180,8 @@ def _run(inst, eps, config, stop_fn=None):
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    if not (np.isfinite(inst.b).all() and np.isfinite(inst.c).all()):
+        raise NumericOverflowError("b and c must be finite")
     L = inst.L
     if L == 0.0:
         pt = _solve_zero_matrix(inst)

@@ -157,12 +157,16 @@ def apply_BT(g, phi):
 
 
 def validate_demand(d, require_exact=False):
-    """Check the demand sums to zero; raises DemandBalanceError otherwise.
+    """Check the demand is finite and sums to zero; raises
+    DemandBalanceError otherwise.
 
     Tolerance is DEMAND_TOL * ||d||_1 (exact zero required when
     require_exact is set, e.g. for integer input).
     """
     d = np.asarray(d, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise DemandBalanceError(f"demand entry {int(bad[0])} is {d[bad[0]]}, not finite")
     resid = float(d.sum())
     norm = float(np.abs(d).sum())
     if require_exact:

@@ -2,32 +2,38 @@
 
 A round has three phases: every edge votes whether to contract (supernodes
 are the connected components of contracted edges), every node contributes
-a value folded per supernode by a commutative-associative consensus
-operator, and every surviving inter-supernode edge learns both endpoint
-consensus values and contributes values folded per supernode by an
-aggregation operator.  Self-loops of the contracted minor are dropped.
+a value folded per supernode by the consensus operator, and every surviving
+inter-supernode edge learns both endpoint consensus values and contributes
+values folded per supernode by the aggregation operator.  Self-loops of the
+contracted minor are dropped.
 
-All folds use a fixed canonical order (node index, then edge index), so
-results do not depend on iteration order.  A message auditor enforces a
-configurable per-value word budget: node ids must fit a few machine words
-and numeric payloads are counted one word per float.
+The operators are "sum" and "max".  Each fold applies its ufunc's `at` in
+a fixed canonical order (node index, then edge index), so results depend
+neither on iteration order nor on how supernodes are numbered.  A message
+auditor enforces a word budget of 8 ceil(log2 n) words per value: node ids
+must fit a few machine words and numeric payloads count one word per
+float.  The network's trace keeps one record per round label, with the
+number of rounds and the largest message seen under that label, so its
+size is bounded by the set of labels however many rounds run.
 
 On top of the raw model sit the distributed implementations of the
-transshipment approximator: per-node computation of the columns of R by
-cluster-containment consensus rounds, and the six matrix-vector products
-with R, R^T, A = R B W^-1, A^T, |A| and |A|^T.  Entries are evaluated
-with the same formula helper as the centralized builder, so the columns
-agree bit for bit.
+transshipment and tree approximators: per-node computation of the columns
+of R by cluster-containment consensus rounds, and the six matrix-vector
+products with R, R^T, A = R B W^-1, A^T, |A| and |A|^T.  The products that
+sum per row of R read each row's sum from the consensus of the round they
+run, at one member node of the row's cluster.  Entries are evaluated with
+the same formula helper as the centralized builder, so the columns agree
+bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from boxflow.sparsemat import ColSparseMatrix
 from boxflow.ts_approx import r_entry
 
 
@@ -35,11 +41,19 @@ class AuditError(RuntimeError):
     """A message exceeded the word budget or carried an invalid value."""
 
 
-class OperatorError(RuntimeError):
-    """A consensus/aggregation operator failed the associativity check."""
+# operator name -> (ufunc folded with .at, value of an empty fold)
+_FOLDS = {"sum": (np.add, 0.0), "max": (np.maximum, -np.inf)}
 
 
-_NAMED_OPS = {"sum", "min", "max"}
+def _fold(op, groups, values, n_groups):
+    """Fold values (one entry or row per item) per group id in input order."""
+    if op not in _FOLDS:
+        raise ValueError(f"unknown operator {op!r}; choose from {sorted(_FOLDS)}")
+    ufunc, empty = _FOLDS[op]
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full((n_groups,) + values.shape[1:], empty)
+    ufunc.at(out, groups, values)
+    return out
 
 
 @dataclass
@@ -53,23 +67,24 @@ class RoundResult:
 
 
 class MinorAggNetwork:
-    """Network state: one round per run_round call, with a trace."""
+    """Network state: one round per run_round call.
 
-    def __init__(self, graph, word_budget=None, debug_ops=False, debug_samples=8):
+    word_budget is 8 ceil(log2 n) words per value.  trace lists one record
+    {"label", "rounds", "max_words"} per distinct round label, in the order
+    the labels first ran.
+    """
+
+    def __init__(self, graph):
         self.g = graph
         n = graph.n
-        self.word_budget = (
-            int(word_budget)
-            if word_budget is not None
-            else 8 * max(1, math.ceil(math.log2(max(n, 2))))
-        )
-        self.debug_ops = debug_ops
-        self.debug_samples = debug_samples
+        self.word_budget = 8 * max(1, math.ceil(math.log2(max(n, 2))))
         self.round_count = 0
-        self.trace = []
+        self._trace = {}
         self._id_bound = max(16, n**4)
 
-    # -- auditing ---------------------------------------------------------
+    @property
+    def trace(self):
+        return list(self._trace.values())
 
     def _audit(self, values, what):
         arr = np.asarray(values)
@@ -85,57 +100,6 @@ class MinorAggNetwork:
             if arr.size and not np.isfinite(arr).all():
                 raise AuditError(f"{what}: non-finite value in message")
         return arr, words
-
-    def _check_operator(self, op, values, what):
-        if not callable(op):
-            if op not in _NAMED_OPS:
-                raise ValueError(f"unknown operator {op!r}")
-            return
-        if not self.debug_ops:
-            return
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        if flat.size < 3:
-            return
-        rng = np.random.default_rng(1234 + self.round_count)
-        for _ in range(self.debug_samples):
-            a, b, c = (float(flat[rng.integers(0, flat.size)]) for _ in range(3))
-            scale = max(1.0, abs(a), abs(b), abs(c))
-            if abs(op(op(a, b), c) - op(a, op(b, c))) > 1e-9 * scale:
-                raise OperatorError(f"{what}: operator is not associative on samples")
-            if abs(op(a, b) - op(b, a)) > 1e-9 * scale:
-                raise OperatorError(f"{what}: operator is not commutative on samples")
-
-    # -- folding ----------------------------------------------------------
-
-    def _fold(self, op, groups, values, n_groups):
-        """Fold values per group id in canonical (input) order."""
-        values = np.asarray(values, dtype=np.float64)
-        single = values.ndim == 1
-        if single:
-            values = values[:, None]
-        k = values.shape[1]
-        out = np.empty((n_groups, k))
-        if callable(op):
-            for col in range(k):
-                buckets = [[] for _ in range(n_groups)]
-                for idx, gid in enumerate(groups):
-                    buckets[gid].append(values[idx, col])
-                for gid, vals in enumerate(buckets):
-                    out[gid, col] = reduce(op, vals) if vals else 0.0
-        elif op == "sum":
-            for col in range(k):
-                out[:, col] = np.bincount(groups, weights=values[:, col], minlength=n_groups)
-        elif op == "min":
-            out[:] = np.inf
-            for col in range(k):
-                np.minimum.at(out[:, col], groups, values[:, col])
-        elif op == "max":
-            out[:] = -np.inf
-            for col in range(k):
-                np.maximum.at(out[:, col], groups, values[:, col])
-        return out[:, 0] if single else out
-
-    # -- the model step ----------------------------------------------------
 
     def run_round(
         self,
@@ -166,18 +130,9 @@ class MinorAggNetwork:
             adj = sp.csr_matrix(
                 (np.ones(len(sel)), (g.tail[sel], g.head[sel])), shape=(n, n)
             )
-            _, labels = csgraph.connected_components(adj, directed=False)
+            n_super, super_id = csgraph.connected_components(adj, directed=False)
         else:
-            labels = np.arange(n)
-        # canonical dense supernode ids ordered by smallest member
-        order = np.full(labels.max() + 1, -1, dtype=np.int64)
-        nxt = 0
-        for v in range(n):
-            if order[labels[v]] < 0:
-                order[labels[v]] = nxt
-                nxt += 1
-        super_id = order[labels]
-        n_super = nxt
+            n_super, super_id = n, np.arange(n)
 
         result = RoundResult(supernode=super_id, n_supernodes=n_super)
         max_words = 0
@@ -185,9 +140,7 @@ class MinorAggNetwork:
         if node_values is not None:
             vals, words = self._audit(node_values, "consensus value")
             max_words = max(max_words, words)
-            self._check_operator(consensus_op, vals, "consensus")
-            folded = self._fold(consensus_op, super_id, vals, n_super)
-            result.consensus = folded[super_id]
+            result.consensus = _fold(consensus_op, super_id, vals, n_super)[super_id]
 
         if edge_value_fn is not None:
             alive = np.flatnonzero(super_id[g.tail] != super_id[g.head])
@@ -201,27 +154,18 @@ class MinorAggNetwork:
             zt, words_t = self._audit(z_tail, "aggregate value")
             zh, words_h = self._audit(z_head, "aggregate value")
             max_words = max(max_words, words_t, words_h)
-            self._check_operator(aggregate_op, zt, "aggregation")
             groups = np.concatenate([super_id[g.tail[alive]], super_id[g.head[alive]]])
             stacked = np.concatenate([zt, zh], axis=0)
-            folded = self._fold(aggregate_op, groups, stacked, n_super)
-            result.aggregate = folded[super_id]
+            result.aggregate = _fold(aggregate_op, groups, stacked, n_super)[super_id]
             result.edge_tail_value = y_tail
             result.edge_head_value = y_head
 
         self.round_count += 1
-        self.trace.append(
-            {
-                "round": self.round_count,
-                "label": label,
-                "supernodes": int(n_super),
-                "max_words": int(max_words),
-                "consensus_op": consensus_op if not callable(consensus_op) else "custom",
-                "aggregate_op": (aggregate_op if not callable(aggregate_op) else "custom")
-                if edge_value_fn is not None
-                else None,
-            }
-        )
+        rec = self._trace.get(label)
+        if rec is None:
+            rec = self._trace[label] = {"label": label, "rounds": 0, "max_words": 0}
+        rec["rounds"] += 1
+        rec["max_words"] = max(rec["max_words"], max_words)
         return result
 
 
@@ -233,7 +177,8 @@ class MinorAggCore:
 
     Rows of R are organized into blocks; within a block the clusters
     carrying the rows partition (part of) the node set into connected
-    pieces, so one contraction round folds per-row sums.  The
+    pieces, so contracting the edges inside clusters makes each cluster
+    one supernode, and one consensus round folds per-row sums.  The
     transshipment approximator contributes one block per (scale,
     clustering) with a vector payload over the upper clusterings; the
     tree approximator contributes one block per tree depth.  Construction
@@ -367,20 +312,15 @@ class MinorAggCore:
                     cluster_id[v] = cid
                     entries[v, 0] = scale * (1.0 / tree.cap[x])
             # nodes whose leaf sits above this depth become filler
-            # singletons with zero entries
-            filler = n_real
-            for v in range(self.n):
-                if cluster_id[v] < 0:
-                    cluster_id[v] = filler
-                    filler += 1
-            contract = cluster_id[g.tail] == cluster_id[g.head]
-            contract &= cluster_id[g.tail] < n_real
+            # singletons with zero entries; their ids are unique, so no
+            # edge between two of them contracts
+            filler = np.flatnonzero(cluster_id < 0)
+            cluster_id[filler] = n_real + np.arange(len(filler))
             self._blocks.append(
                 {
-                    "contract": contract,
+                    "contract": cluster_id[g.tail] == cluster_id[g.head],
                     "cluster_id": cluster_id,
                     "n_clusters": n_real,
-                    "n_groups": filler,
                     "row_of": [rows],
                     "entries": entries,
                 }
@@ -389,11 +329,12 @@ class MinorAggCore:
     # -- shared machinery ----------------------------------------------------
 
     def _finish_blocks(self, g):
-        """Edge-local column data per block, used by the A products."""
+        """Edge-local column data per block, used by the A products, and
+        a representative node per cluster, where the products read its
+        sums."""
         tail, head = g.tail, g.head
         inv_w = 1.0 / g.weight
         for blk in self._blocks:
-            blk.setdefault("n_groups", blk["n_clusters"])
             ids = blk["cluster_id"]
             ent = blk["entries"]  # (n, num_jp)
             same = ids[tail] == ids[head]
@@ -406,8 +347,8 @@ class MinorAggCore:
             blk["edge_val_tail"] = val_tail
             blk["edge_val_head"] = val_head
             blk["edge_same"] = same
-            blk["groups_tail"] = ids[tail]
-            blk["groups_head"] = ids[head]
+            # every cluster id 0..n_clusters-1 has a member; fillers sort after
+            blk["rep"] = np.unique(ids, return_index=True)[1][: blk["n_clusters"]]
 
     @property
     def rounds(self):
@@ -419,28 +360,30 @@ class MinorAggCore:
         Bit-identical to the centralized scaled matrix because entries go
         through the same arithmetic.
         """
-        from boxflow.sparsemat import ColSparseMatrix
-
         rows, cols, vals = [], [], []
         for blk in self._blocks:
             ids = blk["cluster_id"]
             ent = blk["entries"]
             for jp, row_of in enumerate(blk["row_of"]):
-                for v in range(self.n):
-                    cid = int(ids[v])
-                    if cid < blk["n_clusters"] and ent[v, jp] != 0.0:
-                        rows.append(int(row_of[cid]))
-                        cols.append(v)
-                        vals.append(ent[v, jp])
+                v = np.flatnonzero((ids < blk["n_clusters"]) & (ent[:, jp] != 0.0))
+                rows.append(row_of[ids[v]])
+                cols.append(v)
+                vals.append(ent[v, jp])
         return ColSparseMatrix.from_triplets(
-            self.k, self.n, rows, cols, vals, col_bound=self.approx.scaled_R().col_bound
+            self.k,
+            self.n,
+            np.concatenate(rows),
+            np.concatenate(cols),
+            np.concatenate(vals),
+            col_bound=self.approx.scaled_R().col_bound,
         )
 
-    def _scatter_rows(self, out, blk, per_cluster):
-        """per_cluster: (n_groups, num_jp) folded sums; place real rows."""
-        nc = blk["n_clusters"]
+    def _scatter_rows(self, out, blk, consensus):
+        """Place each cluster's folded sums, read at its representative
+        node, in the cluster's rows."""
+        sums = consensus[blk["rep"]]
         for jp, row_of in enumerate(blk["row_of"]):
-            out[row_of] = per_cluster[:nc, jp]
+            out[row_of] = sums[:, jp]
 
     # -- products ---------------------------------------------------------
 
@@ -449,21 +392,13 @@ class MinorAggCore:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros(self.k)
         for blk in self._blocks:
-            contrib = blk["entries"] * x[:, None]
-            self.net.run_round(
+            res = self.net.run_round(
                 contract=blk["contract"],
-                node_values=contrib,
+                node_values=blk["entries"] * x[:, None],
                 consensus_op="sum",
                 label="mul_R block",
             )
-            sums = np.stack(
-                [
-                    np.bincount(blk["cluster_id"], weights=contrib[:, jp], minlength=blk["n_groups"])
-                    for jp in range(contrib.shape[1])
-                ],
-                axis=1,
-            )
-            self._scatter_rows(out, blk, sums)
+            self._scatter_rows(out, blk, res.consensus)
         return out
 
     def mul_RT(self, y):
@@ -504,20 +439,13 @@ class MinorAggCore:
             partial = self.net.run_round(
                 edge_value_fn=edge_fn, aggregate_op="sum", label=f"{label} partials"
             ).aggregate
-            self.net.run_round(
+            res = self.net.run_round(
                 contract=blk["contract"],
                 node_values=partial,
                 consensus_op="sum",
                 label=f"{label} consensus",
             )
-            sums = np.stack(
-                [
-                    np.bincount(blk["cluster_id"], weights=partial[:, jp], minlength=blk["n_groups"])
-                    for jp in range(partial.shape[1])
-                ],
-                axis=1,
-            )
-            self._scatter_rows(out, blk, sums)
+            self._scatter_rows(out, blk, res.consensus)
         return out
 
     def mul_M(self, x):
@@ -564,12 +492,6 @@ class MinorAggCore:
 
     def mul_absMT(self, y):
         return self._edge_dot(np.asarray(y, dtype=np.float64), use_abs=True)
-
-
-def dist_compute_R_columns(net, approx):
-    """Run the containment rounds and return the node-assembled R."""
-    core = MinorAggCore(net, approx)
-    return core, core.r_columns()
 
 
 _PRODUCTS = {

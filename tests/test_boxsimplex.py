@@ -461,7 +461,14 @@ def test_ten_products_per_iteration():
 
 @pytest.mark.parametrize(
     "side, value",
-    [("b", np.nan), ("b", np.inf), ("b", -np.inf), ("c", np.nan)],
+    [
+        ("b", np.nan),
+        ("b", np.inf),
+        ("b", -np.inf),
+        ("c", np.nan),
+        ("c", np.inf),
+        ("c", -np.inf),
+    ],
 )
 def test_non_finite_input_raises_by_first_checkpoint(side, value):
     rng = np.random.default_rng(8)
@@ -475,3 +482,5 @@ def test_non_finite_input_raises_by_first_checkpoint(side, value):
         solve(bad, 0.1, cfg)
     # raised before the first checkpoint's certificate products
     assert sum(op.calls.values()) <= 2 + 10 * cfg.check_every
+    with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
+        solve_decide(bad, 0.1, cfg, upper_at_most=0.0)

@@ -139,6 +139,15 @@ def test_validate_demand_imbalanced():
     assert "1" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_demand_rejects_non_finite(value):
+    d = FIG1_DEMAND.copy()
+    d[5] = value
+    for require_exact in (False, True):
+        with pytest.raises(DemandBalanceError, match="entry 5 is"):
+            validate_demand(d, require_exact=require_exact)
+
+
 def test_validate_demand_exact_mode():
     with pytest.raises(DemandBalanceError):
         validate_demand(np.array([1.0, -1.0, 1e-15]), require_exact=True)

@@ -5,11 +5,10 @@ from boxflow.minoragg import (
     AuditError,
     MinorAggCore,
     MinorAggNetwork,
-    OperatorError,
-    dist_compute_R_columns,
     dist_matvec,
 )
 from boxflow.solvers import CentralizedCore
+from boxflow.tree_approx import build_mf_approximator
 from boxflow.ts_approx import build_ts_approximator
 
 from conftest import FIG1_DEMAND, cycle_graph, grid_graph, random_connected_graph
@@ -37,7 +36,34 @@ def test_round_counter_increments(eight_cycle):
     for k in range(3):
         net.run_round(node_values=np.zeros(8), consensus_op="sum")
     assert net.round_count == 3
-    assert len(net.trace) == 3
+    assert net.trace == [{"label": "", "rounds": 3, "max_words": 1}]
+
+
+def test_trace_keeps_one_record_per_label(eight_cycle):
+    net = MinorAggNetwork(eight_cycle)
+    for k in range(1000):
+        if k % 2:
+            net.run_round(node_values=np.zeros(8), label="narrow")
+        else:
+            # 3-word and 1-word messages alternate under this label
+            net.run_round(node_values=np.zeros((8, 3 if k % 4 == 0 else 1)), label="wide")
+    assert net.round_count == 1000
+    assert net.trace == [
+        {"label": "wide", "rounds": 500, "max_words": 3},
+        {"label": "narrow", "rounds": 500, "max_words": 1},
+    ]
+
+
+def test_unknown_operator_rejected(eight_cycle):
+    net = MinorAggNetwork(eight_cycle)
+    with pytest.raises(ValueError, match="unknown operator"):
+        net.run_round(node_values=np.zeros(8), consensus_op="min")
+    with pytest.raises(ValueError, match="unknown operator"):
+        net.run_round(
+            edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
+            aggregate_op=max,
+        )
+    assert net.round_count == 0
 
 
 def test_containment_round_matches_set_inclusion(eight_cycle):
@@ -73,9 +99,11 @@ def test_aggregation_step_incident_sums(eight_cycle):
 
 
 def test_audit_word_budget(eight_cycle):
-    net = MinorAggNetwork(eight_cycle, word_budget=2)
+    net = MinorAggNetwork(eight_cycle)
+    assert net.word_budget == 24  # 8 ceil(log2 8)
+    net.run_round(node_values=np.zeros((8, net.word_budget)), consensus_op="sum")
     with pytest.raises(AuditError):
-        net.run_round(node_values=np.zeros((8, 3)), consensus_op="sum")
+        net.run_round(node_values=np.zeros((8, net.word_budget + 1)), consensus_op="sum")
 
 
 def test_audit_nonfinite(eight_cycle):
@@ -84,26 +112,6 @@ def test_audit_nonfinite(eight_cycle):
     bad[3] = np.inf
     with pytest.raises(AuditError):
         net.run_round(node_values=bad, consensus_op="sum")
-
-
-def test_debug_rejects_nonassociative(eight_cycle):
-    net = MinorAggNetwork(eight_cycle, debug_ops=True)
-    rng = np.random.default_rng(0)
-    with pytest.raises(OperatorError):
-        net.run_round(
-            node_values=rng.normal(size=8),
-            consensus_op=lambda a, b: a - b,  # not commutative/associative
-        )
-
-
-def test_custom_associative_op_works(eight_cycle):
-    net = MinorAggNetwork(eight_cycle, debug_ops=True)
-    res = net.run_round(
-        contract=np.ones(8, dtype=bool),
-        node_values=np.arange(8.0),
-        consensus_op=max,
-    )
-    assert np.all(res.consensus == 7.0)
 
 
 def graphs_for_equivalence():
@@ -115,36 +123,50 @@ def test_r_columns_bit_identical_to_centralized():
     for gi, g in enumerate(graphs_for_equivalence()):
         approx = build_ts_approximator(g, seed=40 + gi)
         net = MinorAggNetwork(g)
-        core, r_dist = dist_compute_R_columns(net, approx)
+        r_dist = MinorAggCore(net, approx).r_columns()
         want = approx.scaled_R()
         assert r_dist.shape == want.shape
         assert np.array_equal(r_dist.to_dense(), want.to_dense())
 
 
+def _assert_six_products_match(g, approx, rng):
+    core = MinorAggCore(MinorAggNetwork(g), approx)
+    cen = CentralizedCore(approx)
+    k, m, n = approx.R.n_rows, g.m, g.n
+    for _ in range(5):
+        xe = rng.normal(size=m)
+        xn = rng.normal(size=n)
+        yr = rng.normal(size=k)
+        checks = [
+            ("R", xn, cen.mul_R(xn)),
+            ("Rt", yr, cen.mul_RT(yr)),
+            ("A", xe, cen.mul_M(xe)),
+            ("At", yr, cen.mul_MT(yr)),
+            ("absA", xe, cen.mul_absM(xe)),
+            ("absAt", yr, cen.mul_absMT(yr)),
+        ]
+        for which, vec, want in checks:
+            got = dist_matvec(core, which, vec)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-9 * scale, which
+    return core
+
+
 def test_all_six_products_match_centralized():
     for gi, g in enumerate(graphs_for_equivalence()):
         approx = build_ts_approximator(g, seed=50 + gi)
-        net = MinorAggNetwork(g)
-        core = MinorAggCore(net, approx)
-        cen = CentralizedCore(approx)
-        k, m, n = approx.R.n_rows, g.m, g.n
-        rng = np.random.default_rng(gi)
-        for _ in range(5):
-            xe = rng.normal(size=m)
-            xn = rng.normal(size=n)
-            yr = rng.normal(size=k)
-            checks = [
-                ("R", xn, cen.mul_R(xn)),
-                ("Rt", yr, cen.mul_RT(yr)),
-                ("A", xe, cen.mul_M(xe)),
-                ("At", yr, cen.mul_MT(yr)),
-                ("absA", xe, cen.mul_absM(xe)),
-                ("absAt", yr, cen.mul_absMT(yr)),
-            ]
-            for which, vec, want in checks:
-                got = dist_matvec(core, which, vec)
-                scale = max(1.0, float(np.abs(want).max()))
-                assert np.abs(got - want).max() <= 1e-9 * scale, which
+        _assert_six_products_match(g, approx, np.random.default_rng(gi))
+
+
+def test_tree_core_matches_centralized():
+    # the max-flow approximator: one block per tree depth, filler singletons
+    for gi, g in enumerate(graphs_for_equivalence()):
+        approx = build_mf_approximator(g, seed=80 + gi)
+        core = _assert_six_products_match(g, approx, np.random.default_rng(gi))
+        r_dist = core.r_columns()
+        want = approx.scaled_R()
+        assert r_dist.shape == want.shape
+        assert np.array_equal(r_dist.to_dense(), want.to_dense())
 
 
 def test_round_budget_per_matvec():
@@ -189,7 +211,8 @@ def test_degenerate_single_scale_core():
     g = Graph(2, [(0, 1, 1.0)])
     approx = build_ts_approximator(g, seed=0, tau=2)
     net = MinorAggNetwork(g)
-    core, r_dist = dist_compute_R_columns(net, approx)
+    core = MinorAggCore(net, approx)
+    r_dist = core.r_columns()
     assert np.array_equal(r_dist.to_dense(), approx.scaled_R().to_dense())
     cen = CentralizedCore(approx)
     x = np.array([0.3, -0.7])
