@@ -5,8 +5,10 @@ graph structure; ||R d|| (l1 for transshipment, max for congestion)
 estimates the optimal routing cost of demand d.  Because the raw
 constants of the constructions are loose, a single global calibration
 scale s is fitted once per approximator by maximizing OPT(d)/||R d||
-over a batch of random two-point demands against cheap exact oracles; the
-scaled operator s*R then satisfies the one-sided bound OPT <= ||s R d||
+over a calibration batch: random two-point demands, whose optima are a
+shortest-path distance or the inverse of one max flow, plus a few dense
+demands priced by the exact oracles of boxflow.oracle.  The scaled
+operator s*R then satisfies the one-sided bound OPT <= ||s R d||
 empirically, which is what the flow solvers rely on.  The measured upper
 ratio rho = max ||s R d|| / OPT is logged, never assumed.
 """
@@ -90,7 +92,7 @@ def _pair_congestion(g, u, v):
     """Two-point congestion optimum: 1 / maxflow(u -> v) at capacities 1/w."""
     from boxflow.oracle import _Dinic
 
-    net = _Dinic(g.n, 0.0)
+    net = _Dinic(g.n)
     for e in range(g.m):
         cap = 1.0 / float(g.weight[e])
         net.add_edge(int(g.tail[e]), int(g.head[e]), cap, cap)
@@ -103,8 +105,10 @@ def _pair_congestion(g, u, v):
 def calibrate(approx, seed, batch_size=200, multipoint=16, safety=1.0):
     """Fit the global scale s = max OPT(d)/||R d|| over a calibration batch.
 
-    The batch is two-point demands (cheap pair oracles) plus a handful of
-    dense balanced demands priced by the exact oracle: tree cut bounds can
+    The batch is batch_size two-point demands, priced by one batched
+    Dijkstra (l1) or one float max flow per pair (congestion), plus
+    multipoint dense balanced demands priced by oracle.opt_transshipment
+    or oracle.opt_congestion, looked up at call time: tree cut bounds can
     be tight on every pair yet loose on spread demands, so pairs alone can
     undershoot the scale the one-sided bound needs.  safety multiplies the
     fitted scale; the cut-bound ratio of the tree approximator drifts

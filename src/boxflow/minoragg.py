@@ -204,7 +204,6 @@ class MinorAggCore:
     # -- transshipment blocks ----------------------------------------------
 
     def _init_ts_blocks(self):
-        g = self.net.g
         ds = self.approx.structures
         scale = self.approx.scale
         structures = ds.structures
@@ -227,21 +226,20 @@ class MinorAggCore:
         # one aggregation round: edges learn their endpoints' cluster ids
         # for every (scale, clustering); payload is polylog many ids
         id_tables = np.stack(
-            [
-                st.cover.clusterings[j].ids
-                for st in structures
-                for j in range(st.cover.num_clusterings)
-            ],
-            axis=1,
+            [cl.ids for st in structures for cl in st.cover.clusterings], axis=1
         )
-        self.net.run_round(
+        res = self.net.run_round(
             node_values=id_tables,
             consensus_op="max",
             edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
             label="edge-id-setup",
         )
+        # one row of votes per clustering: an edge votes to contract when
+        # its endpoints' ids agree
+        votes = (res.edge_tail_value == res.edge_head_value).T.copy()
 
         row = 0
+        col = 0
         for i in range(len(structures) - 1):
             low, high = structures[i], structures[i + 1]
             d_next = ds.scales.levels[i + 1]
@@ -249,7 +247,8 @@ class MinorAggCore:
             for j, clustering in enumerate(low.cover.clusterings):
                 ids = clustering.ids
                 n_clusters = clustering.n_clusters
-                contract = ids[g.tail] == ids[g.head]
+                contract = votes[col]
+                col += 1
                 # containment of C_{i,j}(v) in C_{i+1,jp}(v): all members
                 # agree on the higher cluster id, checked by a (max, -min)
                 # consensus over the cluster-contracted minor
@@ -272,8 +271,7 @@ class MinorAggCore:
                     for v in range(self.n):
                         if contained[v, jp]:
                             entries[v, jp] = (
-                                r_entry(d_next, p_lo[v], p_hi[v], low.w[v], high.w[v])
-                                * self.approx.scale
+                                r_entry(d_next, p_lo[v], p_hi[v], low.w[v], high.w[v]) * scale
                             )
                 row_of = []
                 for jp in range(num_hi):
@@ -337,7 +335,7 @@ class MinorAggCore:
         for blk in self._blocks:
             ids = blk["cluster_id"]
             ent = blk["entries"]  # (n, num_jp)
-            same = ids[tail] == ids[head]
+            same = blk["contract"]
             # A entry of edge e in the rows of its tail-side and head-side
             # clusters (internal edges touch a single row)
             ent_t = ent[tail]

@@ -129,6 +129,20 @@ def test_r_columns_bit_identical_to_centralized():
         assert np.array_equal(r_dist.to_dense(), want.to_dense())
 
 
+def test_ts_contract_votes_match_cluster_ids():
+    # every block contracts the edges inside its clusters; the votes come
+    # from the single edge-id round
+    for gi, g in enumerate(graphs_for_equivalence()):
+        approx = build_ts_approximator(g, seed=40 + gi)
+        net = MinorAggNetwork(g)
+        core = MinorAggCore(net, approx)
+        lower = [cl for st in approx.structures.structures[:-1] for cl in st.cover.clusterings]
+        assert len(core._blocks) == len(lower)
+        for blk, cl in zip(core._blocks, lower):
+            assert np.array_equal(blk["contract"], cl.ids[g.tail] == cl.ids[g.head])
+        assert {r["label"]: r["rounds"] for r in net.trace}["edge-id-setup"] == 1
+
+
 def _assert_six_products_match(g, approx, rng):
     core = MinorAggCore(MinorAggNetwork(g), approx)
     cen = CentralizedCore(approx)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     FIG1_DEMAND,
     FIG2_DEMAND,
     cycle_graph,
+    grid_graph,
     path_graph,
     random_connected_graph,
     random_demand,
@@ -94,6 +96,52 @@ def test_transshipment_duality():
         assert abs(float(d @ phi) - cost) <= 1e-9 * max(1.0, cost)
 
 
+def _assert_certified(g, d, cost, flow, phi):
+    """Feasible flow at the cost, 1-Lipschitz phi, <d, phi> = cost."""
+    assert np.allclose(apply_B(g, flow), d, atol=1e-9)
+    assert abs(float(np.abs(flow) @ g.weight) - cost) <= 1e-12 * cost
+    slack = 1e-12 * float(np.abs(phi).max())
+    assert np.all(np.abs(phi[g.tail] - phi[g.head]) <= g.weight + slack)
+    assert abs(float(d @ phi) - cost) <= 1e-12 * cost
+
+
+def test_float_weights_transport_terminates():
+    # round-off once turned the transport's predecessor chain into a loop
+    # that grew until memory ran out
+    rng = np.random.default_rng(21)
+    g = random_connected_graph(5, rng, weight_choices=(0.37, 1.7, 3.3))
+    d = random_demand(5, rng)
+    _assert_certified(g, d, *opt_transshipment(g, d))
+
+
+def test_grid_duals_are_certified():
+    # duals from a residual-network search once reported a negative cycle
+    # here, from round-off against a fixed tolerance
+    g = grid_graph(14, 14)
+    d = random_demand(196, np.random.default_rng(4))
+    _assert_certified(g, d, *opt_transshipment(g, d))
+
+
+def test_calibrated_ts_build_on_spread_weights(monkeypatch):
+    from boxflow import oracle
+    from boxflow.ts_approx import build_ts_approximator
+
+    calls = []
+
+    def recording(g, d):
+        out = opt_transshipment(g, d)
+        calls.append((d, out))
+        return out
+
+    monkeypatch.setattr(oracle, "opt_transshipment", recording)
+    g = random_connected_graph(20, np.random.default_rng(1), weight_choices=(1e-3, 1, 1e3))
+    approx = build_ts_approximator(g, seed=0)
+    assert approx.calibration.enabled and np.isfinite(approx.calibration.rho)
+    assert len(calls) == 16
+    for d, out in calls:
+        _assert_certified(g, d, *out)
+
+
 def test_fig2_congestion_is_exactly_1_5(eight_cycle):
     cost, flow = opt_congestion(eight_cycle, FIG2_DEMAND)
     assert cost == 1.5
@@ -114,24 +162,35 @@ def test_congestion_zero_demand(eight_cycle):
     assert cost == 0.0
 
 
-def test_congestion_dominates_all_cut_bounds():
+def _congestion_inputs():
     rng = np.random.default_rng(2)
     for trial in range(5):
         g = random_connected_graph(7, rng)
-        d = random_demand(7, rng, integer=True)
+        yield g, random_demand(7, rng, integer=True)
+    # weight 3 on every edge: no cut capacity is a dyadic number
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(7, rng, extra_edge_prob=0.3, weight_choices=(3.0,))
+    yield g, random_demand(7, rng, integer=True)
+
+
+def test_congestion_dominates_all_cut_bounds():
+    # the optimum is the largest cut ratio |d(S)|/cap(S), rounded once
+    for g, d in _congestion_inputs():
         if not np.any(d):
             continue
         cost, flow = opt_congestion(g, d)
         assert np.allclose(apply_B(g, flow), d, atol=1e-8)
+        best = Fraction(0)
         for bits in range(1, 2**6):
             side = [v for v in range(7) if (bits >> v) & 1]
-            dS = sum(d[v] for v in side)
+            dS = sum(Fraction(d[v]) for v in side)
             cap = sum(
-                1.0 / float(g.weight[e])
+                1 / Fraction(float(g.weight[e]))
                 for e in range(g.m)
                 if (int(g.tail[e]) in side) != (int(g.head[e]) in side)
             )
             if cap > 0:
-                assert cost >= abs(dS) / cap - 1e-7
+                best = max(best, abs(dS) / cap)
+        assert cost == float(best)
         congestion = float(np.max(np.abs(flow) * g.weight))
         assert congestion <= cost * (1 + 1e-9) + 1e-12
