@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
+from boxflow.oracle import _Dinic
 from boxflow.rng import child_rng
 from boxflow.sparsemat import compose, incidence_matrix, weight_inverse_matrix
 
@@ -88,18 +89,18 @@ def _pair_distances(g, pairs):
     return dist[rows, pairs[:, 1]]
 
 
-def _pair_congestion(g, u, v):
-    """Two-point congestion optimum: 1 / maxflow(u -> v) at capacities 1/w."""
-    from boxflow.oracle import _Dinic
-
-    net = _Dinic(g.n)
-    for e in range(g.m):
-        cap = 1.0 / float(g.weight[e])
-        net.add_edge(int(g.tail[e]), int(g.head[e]), cap, cap)
-    value, _ = net.max_flow(u, v)
-    if value <= 0:
-        raise RuntimeError("zero max flow between distinct nodes")
-    return 1.0 / value
+def _pair_congestions(g, pairs):
+    """Two-point congestion optima, 1 / maxflow(u -> v) at capacities 1/w,
+    on one flow network over the graph's arcs."""
+    net = _Dinic(g.n, g.tail.tolist(), g.head.tolist())
+    cap = np.repeat(1.0 / g.weight, 2).tolist()
+    opts = []
+    for u, v in pairs.tolist():
+        value, _ = net.max_flow(list(cap), u, v)
+        if value <= 0:
+            raise RuntimeError("zero max flow between distinct nodes")
+        opts.append(1.0 / value)
+    return opts
 
 
 def calibrate(approx, seed, batch_size=200, multipoint=16, safety=1.0):
@@ -124,7 +125,7 @@ def calibrate(approx, seed, batch_size=200, multipoint=16, safety=1.0):
     if approx.norm_kind == "l1":
         opts = _pair_distances(g, pairs).tolist()
     else:
-        opts = [_pair_congestion(g, int(u), int(v)) for u, v in pairs]
+        opts = _pair_congestions(g, pairs)
     scale_needed = 0.0
     samples = []
     for (u, v), opt in zip(pairs, opts):

@@ -185,6 +185,7 @@ def _quality_section(g, approx, samples, seed, oracle_fn):
         ratio = approx.estimate(d) / opt
         lo, hi = min(lo, ratio), max(hi, ratio)
         used += 1
+    M = approx.game_operator()
     out = {
         "norm": approx.norm_kind,
         "rows": approx.R.n_rows,
@@ -193,7 +194,8 @@ def _quality_section(g, approx, samples, seed, oracle_fn):
         "max_col_nnz": approx.R.max_col_nnz(),
         "scale": approx.scale,
         "calibration_rho": approx.calibration.rho if approx.calibration.enabled else None,
-        "operator_norm": approx.game_operator().one_to_one_norm(),
+        # the L of this problem's game, as a solve reports in game_norm
+        "operator_norm": M.inf_to_inf_norm() if approx.norm_kind == "linf" else M.one_to_one_norm(),
         "samples": used,
         "sandwich_min": None if used == 0 else lo,
         "sandwich_max": None if used == 0 else hi,

@@ -20,7 +20,6 @@ Scale 0 (D = 1) always uses singleton clusterings; weights are assumed
 to be at least 1, which the approximator layer guarantees by rescaling.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from boxflow.graphs import dijkstra
 from boxflow.rng import child_rng
 
 
@@ -112,29 +112,14 @@ def _carve_clustering(g, theta, order):
     graph.  Each cluster is a residual ball: connected, and its induced
     diameter is at most 2 theta.
     """
-    n = g.n
-    adj = g.adjacency()
-    ids = np.full(n, -1, dtype=np.int64)
+    ids = np.full(g.n, -1, dtype=np.int64)
+    free = [True] * g.n
     next_id = 0
-    for center in order:
-        if ids[center] >= 0:
+    for center in order.tolist():
+        if not free[center]:
             continue
-        dist = {center: 0.0}
-        heap = [(0.0, center)]
-        claimed = []
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist.get(u, math.inf):
-                continue
-            claimed.append(u)
-            for v, w, _e in adj[u]:
-                if ids[v] >= 0:
-                    continue
-                nd = du + w
-                if nd <= theta and (v not in dist or nd < dist[v]):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for u in claimed:
+        for u in dijkstra(g, center, within=free, limit=theta)[2]:
+            free[u] = False
             ids[u] = next_id
         next_id += 1
     return _make_clustering(ids)

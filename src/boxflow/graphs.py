@@ -7,6 +7,9 @@ means flow against the stored orientation), demands and potentials are
 vectors over nodes.
 """
 
+import heapq
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
@@ -84,6 +87,38 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def dijkstra(g, source, within=None, limit=math.inf, as_int=False):
+    """Shortest paths from source over g.adjacency().
+
+    Returns (dist, pred, order): dist and pred are dicts over the reached
+    nodes, pred[v] = (edge, parent) on a shortest path, and order is the
+    settle order.  Only nodes v with within[v] true are entered, and
+    labels above limit are dropped.  as_int sums int(weight), so integral
+    graphs give exact int distances.  The heap key (dist, node) breaks
+    ties by node id, and a label moves only on a strict improvement;
+    callers rely on both for reproducible trees and balls.
+    """
+    adj = g.adjacency()
+    dist = {source: 0 if as_int else 0.0}
+    pred = {}
+    order = []
+    heap = [(dist[source], source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        order.append(u)
+        for v, w, e in adj[u]:
+            if within is not None and not within[v]:
+                continue
+            nd = du + (int(w) if as_int else w)
+            if nd <= limit and (v not in dist or nd < dist[v]):
+                dist[v] = nd
+                pred[v] = (e, u)
+                heapq.heappush(heap, (nd, v))
+    return dist, pred, order
 
 
 def load_graph(text):

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from boxflow.graphs import validate_demand
+from boxflow.graphs import dijkstra, validate_demand
 
 
 class OracleError(RuntimeError):
@@ -40,35 +40,6 @@ class OracleError(RuntimeError):
 
 def _is_integral(arr):
     return all(float(v).is_integer() for v in arr)
-
-
-def _dijkstra(g, source, as_int=False):
-    """Distances and predecessor (edge, node) arrays from source."""
-    n = g.n
-    dist = [None] * n
-    pred = [-1] * n
-    pred_node = [-1] * n
-    adj = g.adjacency()
-    dist[source] = 0 if as_int else 0.0
-    heap = [(dist[source], source)]
-    done = [False] * n
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w, e in adj[u]:
-            if done[v]:
-                continue
-            nd = du + (int(w) if as_int else w)
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = e
-                pred_node[v] = u
-                heapq.heappush(heap, (nd, v))
-    if any(x is None for x in dist):
-        raise OracleError("graph not connected")
-    return dist, pred, pred_node
 
 
 def opt_transshipment(g, d):
@@ -96,7 +67,9 @@ def opt_transshipment(g, d):
     if not supplies:
         return (0 if integral else 0.0), flow, np.zeros(g.n)
 
-    sp = {s: _dijkstra(g, s, as_int=integral) for s in supplies}
+    sp = {s: dijkstra(g, s, as_int=integral) for s in supplies}
+    # node-indexed lists: the transport looks distances up in its inner loop
+    dist = {s: [sp[s][0][v] for v in range(g.n)] for s in supplies}
     mass_tol = 0 if integral else 1e-12 * float(np.abs(d).sum())
 
     plan, cost, pot_s = _solve_transport(
@@ -104,23 +77,22 @@ def opt_transshipment(g, d):
         demands,
         {s: dd[s] for s in supplies},
         {t: -dd[t] for t in demands},
-        lambda s, t: sp[s][0][t],
+        lambda s, t: dist[s][t],
         mass_tol,
     )
 
     for (s, t), q in plan.items():
-        _dist, pred, pred_node = sp[s]
+        pred = sp[s][1]
         v = t
         while v != s:
-            e = pred[v]
-            u = pred_node[v]
+            e, u = pred[v]
             if int(g.head[e]) == v:
                 flow[e] += q
             else:
                 flow[e] -= q
             v = u
 
-    reach = np.array([[pot_s[s] + x for x in sp[s][0]] for s in supplies], dtype=np.float64)
+    reach = np.array([[pot_s[s] + x for x in dist[s]] for s in supplies], dtype=np.float64)
     phi = -reach.min(axis=0)
     gap = abs(float(d @ phi) - float(cost))
     if gap > 1e-9 * float(np.abs(d) @ np.abs(phi)):
@@ -231,91 +203,63 @@ def _solve_transport(supplies, demands, supply, deficit, dist_fn, mass_tol):
 
 
 class _Dinic:
-    """Max flow over float capacities."""
+    """Max flow over a fixed arc list: arc 2k runs tails[k] -> heads[k]
+    and arc 2k+1 runs back, so one network serves many capacity lists."""
 
-    def __init__(self, n_nodes):
+    def __init__(self, n_nodes, tails, heads):
         self.n = n_nodes
-        self.head = [[] for _ in range(n_nodes)]
+        self.out = [[] for _ in range(n_nodes)]
         self.to = []
-        self.cap = []
+        for k, (u, v) in enumerate(zip(tails, heads)):
+            self.out[u].append(2 * k)
+            self.out[v].append(2 * k + 1)
+            self.to += (v, u)
 
-    def add_edge(self, u, v, cap_uv, cap_vu):
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(cap_vu)
-        return idx
-
-    def max_flow(self, s, t):
-        """(value, level); nodes with level >= 0 are the source side of a
-        minimum cut."""
+    def max_flow(self, cap, s, t):
+        """Max flow s -> t under the per-arc capacity list cap, which is
+        left holding the residual.  Returns (value, level); nodes with
+        level >= 0 are the source side of a minimum cut."""
+        out, to = self.out, self.to
         total = 0.0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0.0 and level[v] < 0:
+                for a in out[u]:
+                    v = to[a]
+                    if cap[a] > 0.0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return total, level
+            # blocking flow without recursion: follow current arcs from s;
+            # a dead end retreats one arc and skips it, a path reaching t
+            # is augmented by its bottleneck and the walk restarts at s
             it = [0] * self.n
-
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0.0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got > 0.0:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0.0
-
+            path = []
+            u = s
             while True:
-                pushed = dfs(s, float("inf"))
-                if pushed <= 0.0:
+                if u == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    total += pushed
+                    path.clear()
+                    u = s
+                arcs, i, nxt = out[u], it[u], level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0.0 and level[to[arcs[i]]] == nxt):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
                     break
-                total += pushed
-
-
-def _route_feasible(g, dd, congestion, slack):
-    """Can dd be routed with congestion cap, up to slack of unrouted mass?
-
-    Returns (feasible, source_side_nodes, signed_edge_flow).
-    """
-    n = g.n
-    src, snk = n, n + 1
-    net = _Dinic(n + 2)
-    caps = congestion / g.weight
-    arc = np.array(
-        [net.add_edge(u, v, c, c) for u, v, c in zip(g.tail.tolist(), g.head.tolist(), caps.tolist())],
-        dtype=np.int64,
-    )
-    total = 0.0
-    for v in range(n):
-        if dd[v] > 0:
-            net.add_edge(src, v, dd[v], 0.0)
-            total += dd[v]
-        elif dd[v] < 0:
-            net.add_edge(v, snk, -dd[v], 0.0)
-    value, level = net.max_flow(src, snk)
-    source_side = [v for v in range(n) if level[v] >= 0]
-    # residual bookkeeping: forward use minus backward use, halved
-    # because unused capacity shows up on both sides
-    residual = np.array(net.cap)
-    flow = ((caps - residual[arc]) - (caps - residual[arc ^ 1])) / 2.0
-    return value >= total - slack, source_side, flow
+                else:
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def _cut_ratio(g, dd, side):
@@ -347,13 +291,27 @@ def opt_congestion(g, d):
     if not np.any(d):
         return 0.0, np.zeros(g.m)
     dd = [float(v) for v in d]
-    slack = 1e-11 * max(sum(v for v in dd if v > 0), 1.0)
+    total = sum(v for v in dd if v > 0)
+    slack = 1e-11 * max(total, 1.0)
+    # graph arcs at capacity t/w both ways, then one arc per demand node:
+    # from the super source n to a supply, from a deficit to the sink n+1
+    n, m = g.n, g.m
+    ends = [(n, v) if dd[v] > 0 else (v, n + 1) for v in range(n) if dd[v] != 0.0]
+    tails, heads = zip(*ends)
+    net = _Dinic(n + 2, g.tail.tolist() + list(tails), g.head.tolist() + list(heads))
+    demand_cap = [c for v in range(n) if dd[v] != 0.0 for c in (abs(dd[v]), 0.0)]
     t = 0.0
     while True:
-        ok, side, flow = _route_feasible(g, dd, t, slack)
-        if ok and t > 0:
+        caps = t / g.weight
+        cap = np.repeat(caps, 2).tolist() + demand_cap
+        value, level = net.max_flow(cap, n, n + 1)
+        # forward use minus backward use, halved because unused capacity
+        # shows up on both sides
+        residual = np.array(cap[: 2 * m])
+        flow = ((caps - residual[0::2]) - (caps - residual[1::2])) / 2.0
+        if value >= total - slack and t > 0:
             return t, flow
-        ratio = _cut_ratio(g, dd, side)
+        ratio = _cut_ratio(g, dd, [v for v in range(n) if level[v] >= 0])
         if ratio <= t:
             return t, flow
         t = ratio

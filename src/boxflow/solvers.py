@@ -27,14 +27,13 @@ the dual solve runs at (1 - eps*DUAL_OFFSET) t, and repair stops at
 eps*REPAIR_THETA times ||R d||, solving its residuals at REPAIR_EPS.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from boxflow.boxsimplex import BoxSimplexInstance, solve_decide
-from boxflow.graphs import apply_B, apply_BT, validate_demand
+from boxflow.graphs import apply_B, apply_BT, dijkstra, validate_demand
 from boxflow.tree_approx import build_mf_approximator
 from boxflow.ts_approx import build_ts_approximator
 
@@ -248,31 +247,12 @@ def _threshold_search(family, eps, trace, counters):
 def _shortest_path_tree(g):
     """Shortest-path tree rooted at node 0, as the (node, parent edge,
     parent, edge points to node) steps of a leaves-first walk."""
-    adj = g.adjacency()
-    dist = [math.inf] * g.n
-    pred_edge = [-1] * g.n
-    pred_node = [-1] * g.n
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    done = [False] * g.n
-    order = []
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        order.append(u)
-        for v, w, e in adj[u]:
-            if not done[v] and du + w < dist[v]:
-                dist[v] = du + w
-                pred_edge[v] = e
-                pred_node[v] = u
-                heapq.heappush(heap, (dist[v], v))
+    _dist, pred, order = dijkstra(g, 0)
     steps = []
     for u in reversed(order):
         if u == 0:
             continue
-        e, par = pred_edge[u], pred_node[u]
+        e, par = pred[u]
         steps.append((u, e, par, int(g.tail[e]) == par and int(g.head[e]) == u))
     return steps
 

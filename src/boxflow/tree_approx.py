@@ -9,13 +9,13 @@ laminar family certifies; it never exceeds the true optimum, and the
 calibration scale covers the other side.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from boxflow.approx_common import BaseApproximator, calibrate
+from boxflow.graphs import dijkstra
 from boxflow.rng import child_rng
 from boxflow.sparsemat import ColSparseMatrix
 
@@ -39,53 +39,36 @@ class DecompTree:
         return max(self.depth)
 
 
-def _components(members, adj):
-    member_set = set(members)
-    seen = set()
+def _mask(n, members):
+    within = [False] * n
+    for v in members:
+        within[v] = True
+    return within
+
+
+def _components(g, members):
+    """Connected components of the subgraph induced by members, each
+    sorted, in the order members first meets them."""
+    within = _mask(g.n, members)
     comps = []
     for s in members:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, _w, _e in adj[u]:
-                if v in member_set and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
+        if within[s]:
+            comp = sorted(dijkstra(g, s, within)[0])
+            for v in comp:
+                within[v] = False
+            comps.append(comp)
     return comps
 
 
-def _dijkstra_within(adj, members, source):
-    member_set = set(members)
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w, _e in adj[u]:
-            if v not in member_set:
-                continue
-            nd = du + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _balanced_split(adj, members, rng):
+def _balanced_split(g, members, rng):
     """Split a connected set into two halves along a farthest-pair sweep."""
+    within = _mask(g.n, members)
     start = int(members[int(rng.integers(0, len(members)))])
-    d0 = _dijkstra_within(adj, members, start)
+    d0 = dijkstra(g, start, within)[0]
     u = max(members, key=lambda x: (d0.get(x, 0.0), x))
-    du = _dijkstra_within(adj, members, u)
+    du = dijkstra(g, u, within)[0]
     v = max(members, key=lambda x: (du.get(x, 0.0), x))
-    dv = _dijkstra_within(adj, members, v)
+    dv = dijkstra(g, v, within)[0]
     scored = sorted(members, key=lambda x: (du.get(x, 0.0) - dv.get(x, 0.0), x))
     half = (len(members) + 1) // 2
     return scored[:half], scored[half:]
@@ -99,7 +82,6 @@ def build_tree(g, seed=0):
     subtree sizes halve every couple of levels, so the height stays
     logarithmic.
     """
-    adj = g.adjacency()
     rng = child_rng(seed, "tree")
     parent, children, leaf_vertex, depth = [], [], [], []
     leaf_of = [-1] * g.n
@@ -122,11 +104,11 @@ def build_tree(g, seed=0):
             leaf_vertex[node] = v
             leaf_of[v] = node
             return node
-        left, right = _balanced_split(adj, list(members), rng)
+        left, right = _balanced_split(g, list(members), rng)
         # a half may fall apart; its components become direct children so
         # no tree node ever owns a disconnected vertex set
         for half in (left, right):
-            for comp in _components(half, adj):
+            for comp in _components(g, half):
                 build(comp, node)
         return node
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from boxflow.cli import main
+from boxflow.graphs import load_graph
+from boxflow.solvers import CentralizedCore, _GameFamily
+from boxflow.tree_approx import build_mf_approximator
+from boxflow.ts_approx import build_ts_approximator
 
 EIGHT_CYCLE = "\n".join(f"{i} {(i + 1) % 8} 1" for i in range(8)) + "\n"
 FIG1_D = "0 2\n1 -1\n3 1\n4 -1\n6 -1\n"
@@ -112,6 +116,13 @@ def test_approx_quality(files, tmp_path):
     assert res["maxflow"]["sandwich_min"] >= 1.0 - 1e-9
     assert res["transshipment"]["sandwich_max"] <= 500.0
     assert res["maxflow"]["sandwich_max"] <= 500.0
+    # each section reports the L its game runs with, a solve's game_norm
+    g = load_graph(EIGHT_CYCLE)
+    for problem, build in (("transshipment", build_ts_approximator), ("maxflow", build_mf_approximator)):
+        approx = build(g, seed=0)
+        L = _GameFamily(problem, g, approx, CentralizedCore(approx)).L
+        assert res[problem]["operator_norm"] == L
+    assert res["maxflow"]["operator_norm"] < approx.game_operator().one_to_one_norm()
 
 
 def test_dist_demo(files, tmp_path):

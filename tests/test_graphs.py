@@ -6,12 +6,14 @@ from boxflow.graphs import (
     GraphFormatError,
     apply_B,
     apply_BT,
+    dijkstra,
     load_graph,
     parse_demand,
     validate_demand,
 )
 
-from conftest import FIG1_DEMAND, cycle_graph
+from conftest import FIG1_DEMAND, cycle_graph, random_connected_graph
+from test_covers import ball, induced_distances
 
 EIGHT_CYCLE_TEXT = "\n".join(f"{i} {(i + 1) % 8} 1" for i in range(8))
 
@@ -161,3 +163,53 @@ def test_parse_demand():
 def test_parse_demand_bad_node():
     with pytest.raises(GraphFormatError):
         parse_demand("9 1", 8)
+
+
+def _float_graphs(seed):
+    rng = np.random.default_rng(seed)
+    return rng, [random_connected_graph(n, rng, weight_choices=(0.37, 1.7, 3.3)) for n in (7, 12, 20, 31)]
+
+
+def test_dijkstra_within_matches_induced_distances():
+    rng, graphs = _float_graphs(40)
+    for g in graphs:
+        members = rng.choice(g.n, size=g.n // 2 + 1, replace=False).tolist()
+        within = [False] * g.n
+        for v in members:
+            within[v] = True
+        ref = induced_distances(g, members)
+        for s in members:
+            assert dijkstra(g, s, within)[0] == ref[s]
+
+
+def test_dijkstra_limit_reaches_the_ball():
+    rng, graphs = _float_graphs(41)
+    for g in graphs:
+        for v in rng.choice(g.n, size=3, replace=False).tolist():
+            for r in (0.3, 1.7, 2.07, 4.0, 9.5):
+                assert set(dijkstra(g, v, limit=r)[0]) == ball(g, v, r)
+
+
+def test_dijkstra_as_int_returns_ints():
+    rng = np.random.default_rng(42)
+    g = random_connected_graph(15, rng)
+    dist = dijkstra(g, 3, as_int=True)[0]
+    assert all(type(x) is int for x in dist.values())
+    assert dist == dijkstra(g, 3)[0]
+
+
+def test_dijkstra_pred_walk_resums_dist():
+    _rng, graphs = _float_graphs(43)
+    for g in graphs:
+        dist, pred, order = dijkstra(g, 0)
+        assert sorted(order) == sorted(dist) == list(range(g.n))
+        assert [dist[v] for v in order] == sorted(dist.values())
+        for v in range(g.n):
+            path = []
+            u = v
+            while u != 0:
+                e, parent = pred[u]
+                assert {int(g.tail[e]), int(g.head[e])} == {u, parent}
+                path.append(float(g.weight[e]))
+                u = parent
+            assert sum(reversed(path), 0.0) == dist[v]

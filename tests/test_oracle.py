@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxflow.graphs import DemandBalanceError, Graph, apply_B
+from boxflow.approx_common import _pair_congestions
+from boxflow.graphs import DemandBalanceError, Graph, apply_B, dijkstra
 from boxflow.oracle import opt_congestion, opt_transshipment
 
 from conftest import (
@@ -50,8 +51,6 @@ def test_transshipment_path_is_distance():
 
 def _brute_force_transport(g, d):
     """Unit-by-unit assignment enumeration on the shortest-path metric."""
-    from boxflow.oracle import _dijkstra
-
     units_s, units_t = [], []
     for v in range(g.n):
         k = int(round(d[v]))
@@ -61,7 +60,7 @@ def _brute_force_transport(g, d):
             units_t.extend([v] * (-k))
     dists = {}
     for s in set(units_s):
-        dists[s] = _dijkstra(g, s, as_int=True)[0]
+        dists[s] = dijkstra(g, s, as_int=True)[0]
     best = None
     for perm in itertools.permutations(range(len(units_t))):
         c = sum(dists[units_s[i]][units_t[perm[i]]] for i in range(len(units_s)))
@@ -194,3 +193,18 @@ def test_congestion_dominates_all_cut_bounds():
         assert cost == float(best)
         congestion = float(np.max(np.abs(flow) * g.weight))
         assert congestion <= cost * (1 + 1e-9) + 1e-12
+
+
+def test_max_flow_deeper_than_recursion_limit():
+    # a 1,100-node path has a level graph deeper than Python's recursion
+    # limit, which a recursive blocking-flow search overflowed
+    rng = np.random.default_rng(5)
+    weights = rng.choice([1.0, 2.0, 3.0], size=1099)
+    g = path_graph(1100, weights.tolist())
+    d = np.zeros(1100)
+    d[0], d[-1] = 1.0, -1.0
+    cost, flow = opt_congestion(g, d)
+    assert cost == weights.max()
+    assert np.allclose(flow, 1.0)
+    pairs = np.array([[0, 1099], [1017, 1014]])
+    assert _pair_congestions(g, pairs) == [weights.max(), weights[1014:1017].max()]
