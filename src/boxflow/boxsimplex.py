@@ -12,6 +12,14 @@ arithmetic and every iterate are bit for bit the listing's.  The loop
 updates preallocated buffers and product outputs in place, and tests the
 iterates for finiteness only at the gap checkpoints.
 
+A run can only stop at a gap checkpoint, and most runs are decided long
+before the budget T.  So by default the checkpoints are geometric: at
+iterations k_1 = 1 and k_{j+1} = max(k_j + 1, ceil(CHECK_GROWTH k_j)),
+and at T.  A run then stops within about 10% of the first checkpointed
+iteration whose certificate decides it, after O(log T) checkpoints of
+two products each.  The schedule only decides where the loop reads the
+certificate; the iterates do not depend on it.
+
 Simplex iterates are kept in the log domain: the multiplicative update
 y * exp(v) followed by l1 normalization becomes a log-sum-exp shift, which
 cannot underflow no matter how many iterations run.
@@ -27,6 +35,7 @@ values and fixed.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +43,7 @@ FLOOR = 1e-300  # denominator floor; only reachable for all-zero rows of A
 ALPHA = 2.0  # regularization weights of the extragradient steps
 BETA = 2.0
 T_MULTIPLIER = 6.0  # iteration budget T = ceil(6 (8 log2 d + 1) L / eps)
+CHECK_GROWTH = Fraction(11, 10)  # default checkpoints grow by this factor
 
 
 class ParameterError(ValueError):
@@ -48,16 +58,18 @@ class NumericOverflowError(RuntimeError):
 class SolverConfig:
     """Bookkeeping knobs.
 
-    The exact gap of the running average is evaluated every check_every
-    iterations (default ceil(T/100)) and after the last one; with
-    early_exit the loop stops once it reaches eps.  A non-finite entry of
-    b or c raises NumericOverflowError before the first iteration; the
-    iterates are tested for finiteness at the checkpoints, so a NaN or
-    infinity that appears later raises at the next checkpoint.
+    The exact gap of the running average is evaluated at the checkpoints
+    and after the last iteration; with early_exit the loop stops once it
+    reaches eps.  check_every > 0 puts a checkpoint every check_every
+    iterations; 0 selects the geometric schedule 1, 2, ..., k,
+    max(k + 1, ceil(1.1 k)), ..., which makes O(log T) checkpoints.  A
+    non-finite entry of b or c raises NumericOverflowError before the first
+    iteration; the iterates are tested for finiteness at the checkpoints,
+    so a NaN or infinity that appears later raises at the next checkpoint.
     """
 
     early_exit: bool = True
-    check_every: int = 0  # 0 selects ceil(T/100)
+    check_every: int = 0  # 0 selects the geometric schedule
     collect_trace: bool = False
 
 
@@ -118,6 +130,13 @@ class BoxSimplexInstance:
 def iteration_budget(d, L, eps):
     """Scheduled iteration count ceil(T_MULTIPLIER*(8 log2 d + 1)*L/eps)."""
     return int(math.ceil(T_MULTIPLIER * (8.0 * math.log2(d) + 1.0) * L / eps))
+
+
+def _next_checkpoint(k, check_every):
+    """The checkpoint after iteration k (1-based); T is one as well."""
+    if check_every > 0:
+        return k + check_every
+    return max(k + 1, math.ceil(CHECK_GROWTH * k))
 
 
 def _log_project(ln_new, scratch):
@@ -197,7 +216,7 @@ def _run(inst, eps, config, stop_fn=None):
     b = inst.b * inv_L
     c = inst.c * inv_L
     T = iteration_budget(d, L, eps)
-    check_every = config.check_every if config.check_every > 0 else max(1, math.ceil(T / 100))
+    checkpoint = _next_checkpoint(0, config.check_every)
 
     x = np.zeros(n)
     ln_y = np.full(d, -math.log(d))
@@ -293,8 +312,9 @@ def _run(inst, eps, config, stop_fn=None):
         absA_y, absAT_x2 = absA_y_next, absAT_x2_next
         alpha_ln_y, alpha_ln_next = alpha_ln_next, alpha_ln_y
 
-        if (t + 1) % check_every and t < T - 1:
+        if t + 1 < checkpoint and t < T - 1:
             continue
+        checkpoint = _next_checkpoint(t + 1, config.check_every)
         if not np.isfinite(x).all() or not np.isfinite(ln_y).all():
             raise NumericOverflowError(f"non-finite iterate by iteration {t + 1}")
         xa, ya = _average(xhat_sum, yhat_sum, t + 1)

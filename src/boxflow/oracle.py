@@ -270,7 +270,8 @@ def _cut_ratio(g, dd, side):
     if len(crossing) == 0:
         return 0.0
     d_side = sum(Fraction(dd[v]) for v in side)
-    cap = sum(1 / Fraction(float(w)) for w in g.weight[crossing])
+    weights, counts = np.unique(g.weight[crossing], return_counts=True)
+    cap = sum(int(k) / Fraction(float(w)) for w, k in zip(weights, counts))
     return float(abs(d_side) / cap)
 
 
@@ -300,11 +301,16 @@ def opt_congestion(g, d):
     tails, heads = zip(*ends)
     net = _Dinic(n + 2, g.tail.tolist() + list(tails), g.head.tolist() + list(heads))
     demand_cap = [c for v in range(n) if dd[v] != 0.0 for c in (abs(dd[v]), 0.0)]
+    # The flow of one round stays feasible at the next, larger t: raising
+    # t by dt adds dt/w to both arcs of an edge, which is exactly that
+    # flow's residual at the new capacities, so each round only augments.
+    cap = [0.0] * (2 * m) + demand_cap
     t = 0.0
+    value = 0.0
     while True:
+        pushed, level = net.max_flow(cap, n, n + 1)
+        value += pushed
         caps = t / g.weight
-        cap = np.repeat(caps, 2).tolist() + demand_cap
-        value, level = net.max_flow(cap, n, n + 1)
         # forward use minus backward use, halved because unused capacity
         # shows up on both sides
         residual = np.array(cap[: 2 * m])
@@ -314,4 +320,5 @@ def opt_congestion(g, d):
         ratio = _cut_ratio(g, dd, [v for v in range(n) if level[v] >= 0])
         if ratio <= t:
             return t, flow
+        cap[: 2 * m] = (residual + np.repeat((ratio - t) / g.weight, 2)).tolist()
         t = ratio

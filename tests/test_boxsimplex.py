@@ -214,6 +214,9 @@ def _listing_run(inst, eps, config, stop_fn=None):
     (SaddlePoint, best_upper, best_lower) with certificates in original
     units.
     """
+    # the listing models only a fixed interval; the lean loop's default
+    # schedule is compared through check_every=1 instead
+    assert config.check_every > 0
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     L = inst.L
@@ -230,7 +233,7 @@ def _listing_run(inst, eps, config, stop_fn=None):
     c = inst.c * inv_L
     inv_beta = 1.0 / BETA
     T = iteration_budget(d, L, eps)
-    check_every = config.check_every if config.check_every > 0 else max(1, math.ceil(T / 100))
+    check_every = config.check_every
 
     x = np.zeros(n)
     ln_y = np.full(d, -math.log(d))
@@ -403,6 +406,33 @@ def test_matches_listing_on_maxflow_family():
     for t in (0.5, 3.0):
         inst = build_instance("maxflow", g, approx, d, t)
         _assert_matches_listing(inst, 0.05, SolverConfig(check_every=50), threshold=0.03)
+
+
+def _trace_bytes(entry):
+    it, gap, entropy = entry
+    return it, np.array([gap, entropy]).tobytes()
+
+
+def test_schedule_only_decides_where_the_loop_looks():
+    # the default checkpoints are a subset of check_every=1's, with the
+    # same certificate bytes at each; they grow by 1.1 and end at T
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        inst = random_instance(rng, n=int(rng.integers(2, 12)), d=int(rng.integers(2, 6)))
+        eps = inst.L / 4
+        geometric = solve(inst, eps, SolverConfig(early_exit=False, collect_trace=True))
+        every = solve(inst, eps, SolverConfig(early_exit=False, collect_trace=True, check_every=1))
+        T = geometric.scheduled_iterations
+        assert len(every.trace) == T
+        for entry in geometric.trace:
+            assert _trace_bytes(entry) == _trace_bytes(every.trace[entry[0] - 1])
+        assert _fingerprint(geometric)[:2] == _fingerprint(every)[:2]
+        want, k = [], 1
+        while k < T:
+            want.append(k)
+            k = max(k + 1, -(-11 * k // 10))
+        assert [entry[0] for entry in geometric.trace] == want + [T]
+        assert len(geometric.trace) <= 25 + math.ceil(math.log(T) / math.log(1.1))
 
 
 class CountingOperator:

@@ -6,7 +6,7 @@ import pytest
 
 from boxflow.approx_common import _pair_congestions
 from boxflow.graphs import DemandBalanceError, Graph, apply_B, dijkstra
-from boxflow.oracle import opt_congestion, opt_transshipment
+from boxflow.oracle import _cut_ratio, _Dinic, opt_congestion, opt_transshipment
 
 from conftest import (
     FIG1_DEMAND,
@@ -16,6 +16,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     random_demand,
+    two_point_demand,
 )
 
 
@@ -193,6 +194,43 @@ def test_congestion_dominates_all_cut_bounds():
         assert cost == float(best)
         congestion = float(np.max(np.abs(flow) * g.weight))
         assert congestion <= cost * (1 + 1e-9) + 1e-12
+
+
+def _cold_start_congestion(g, d):
+    """opt_congestion's t with every Dinkelbach round's max flow from zero."""
+    dd = [float(v) for v in d]
+    total = sum(v for v in dd if v > 0)
+    slack = 1e-11 * max(total, 1.0)
+    n = g.n
+    ends = [(n, v) if dd[v] > 0 else (v, n + 1) for v in range(n) if dd[v] != 0.0]
+    tails, heads = zip(*ends)
+    net = _Dinic(n + 2, g.tail.tolist() + list(tails), g.head.tolist() + list(heads))
+    demand_cap = [c for v in range(n) if dd[v] != 0.0 for c in (abs(dd[v]), 0.0)]
+    t = 0.0
+    while True:
+        cap = np.repeat(t / g.weight, 2).tolist() + demand_cap
+        value, level = net.max_flow(cap, n, n + 1)
+        if value >= total - slack and t > 0:
+            return t
+        ratio = _cut_ratio(g, dd, [v for v in range(n) if level[v] >= 0])
+        if ratio <= t:
+            return t
+        t = ratio
+
+
+def test_warm_started_congestion_matches_cold_start():
+    # each round keeps the last round's flow; the optimum must not move
+    rng = np.random.default_rng(31)
+    for k in range(24):
+        weights = ((0.37, 1.7, 3.3), (1e-3, 1.0, 1e3))[k % 2]
+        n = int(rng.integers(5, 41))
+        g = random_connected_graph(n, rng, weight_choices=weights)
+        d = random_demand(n, rng) if k % 3 else two_point_demand(n, rng)
+        cost, flow = opt_congestion(g, d)
+        assert cost == _cold_start_congestion(g, d)
+        assert np.allclose(apply_B(g, flow), d, rtol=0.0, atol=1e-9 * np.abs(d).max())
+        assert float(np.max(np.abs(g.weight * flow))) <= cost * (1 + 1e-12)
+    assert opt_congestion(cycle_graph(8), FIG2_DEMAND)[0] == 1.5
 
 
 def test_max_flow_deeper_than_recursion_limit():
