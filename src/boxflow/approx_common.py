@@ -11,6 +11,22 @@ demands priced by the exact oracles of boxflow.oracle.  The scaled
 operator s*R then satisfies the one-sided bound OPT <= ||s R d||
 empirically, which is what the flow solvers rely on.  The measured upper
 ratio rho = max ||s R d|| / OPT is logged, never assumed.
+
+Both constructions are column sparse in the same way: every row of R is
+supported on one cluster of some partition of (part of) the nodes.  R is
+therefore stored as a list of blocks.  A Block is one such partition,
+given by a cluster id per node (nodes outside every cluster of the block
+get distinct filler ids >= n_clusters, so no edge between two of them
+counts as inside a cluster), and carries num_jp rows per cluster:
+rows[jp, c] is the R row of column slot jp on cluster c, and
+entries[v, jp] is the unscaled entry of node v in slot jp, so R[rows[jp,
+ids[v]], v] = entries[v, jp] wherever v lies in a cluster.  assemble_R
+turns blocks into the ColSparseMatrix.  The transshipment approximator
+has one block per (scale i, lower clustering j) with a slot per upper
+clustering j'; the tree approximator has one block per tree depth with a
+single slot.  The minor-aggregation core reuses the same blocks: one
+consensus round over the cluster-contracted minor folds every row sum of
+a block at once.
 """
 
 from dataclasses import dataclass
@@ -20,7 +36,32 @@ from scipy.sparse import csgraph
 
 from boxflow.oracle import _Dinic
 from boxflow.rng import child_rng
-from boxflow.sparsemat import compose, incidence_matrix, weight_inverse_matrix
+from boxflow.sparsemat import ColSparseMatrix, compose, incidence_matrix, weight_inverse_matrix
+
+
+@dataclass
+class Block:
+    """One partition of (part of) the nodes carrying rows of R; see the
+    module docstring."""
+
+    ids: np.ndarray  # cluster per node; filler ids >= n_clusters outside the block
+    n_clusters: int
+    rows: np.ndarray  # (num_jp, n_clusters) row of R per column slot and cluster
+    entries: np.ndarray  # (n, num_jp) unscaled entry per node and column slot
+
+
+def assemble_R(blocks, n_rows, n, col_bound):
+    """The n_rows x n ColSparseMatrix holding every nonzero block entry."""
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for blk in blocks:
+        v, jp = np.nonzero((blk.ids < blk.n_clusters)[:, None] & (blk.entries != 0.0))
+        rows.append(blk.rows[jp, blk.ids[v]])
+        cols.append(v)
+        vals.append(blk.entries[v, jp])
+    return ColSparseMatrix.from_triplets(
+        n_rows, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        col_bound=col_bound,
+    )
 
 
 @dataclass
@@ -36,10 +77,10 @@ class BaseApproximator:
 
     norm_kind = "l1"  # overridden
 
-    def __init__(self, graph, R_raw, row_decode, seed):
+    def __init__(self, graph, R_raw, blocks, seed):
         self.graph = graph
         self.R = R_raw
-        self.row_decode = row_decode
+        self.blocks = blocks
         self.seed = seed
         self.scale = 1.0
         self.calibration = CalibrationReport(scale=1.0, rho=float("nan"), batch_size=0, enabled=False)

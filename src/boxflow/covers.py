@@ -95,8 +95,8 @@ class Cover:
 
 def _make_clustering(ids_array):
     ids = np.asarray(ids_array, dtype=np.int64)
-    k = int(ids.max()) + 1 if ids.size else 0
-    members = [np.flatnonzero(ids == c) for c in range(k)]
+    order = np.argsort(ids, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
     return Clustering(ids=ids, members=members)
 
 

@@ -17,8 +17,9 @@ number of rounds and the largest message seen under that label, so its
 size is bounded by the set of labels however many rounds run.
 
 On top of the raw model sit the distributed implementations of the
-transshipment and tree approximators: per-node computation of the columns
-of R by cluster-containment consensus rounds, and the six matrix-vector
+transshipment and tree approximators, over the block layout of R that
+boxflow.approx_common describes: per-node computation of the columns of R
+by cluster-containment consensus rounds, and the six matrix-vector
 products with R, R^T, A = R B W^-1, A^T, |A| and |A|^T.  The products that
 sum per row of R read each row's sum from the consensus of the round they
 run, at one member node of the row's cluster.  Entries are evaluated with
@@ -33,8 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from boxflow.sparsemat import ColSparseMatrix
-from boxflow.ts_approx import r_entry
+from boxflow.approx_common import Block, assemble_R
+from boxflow.ts_approx import block_entries
 
 
 class AuditError(RuntimeError):
@@ -172,20 +173,30 @@ class MinorAggNetwork:
 # -- distributed approximator ------------------------------------------------
 
 
+@dataclass
+class _WiredBlock(Block):
+    """A block of R as the core runs it: scaled entries plus edge data."""
+
+    contract: np.ndarray  # per edge: both endpoints in one cluster
+    edge_val_tail: np.ndarray  # (m, num_jp) A entry in the tail-side rows
+    edge_val_head: np.ndarray  # (m, num_jp) A entry in the head-side rows
+    rep: np.ndarray  # a member node per cluster, where products read its sums
+
+
 class MinorAggCore:
     """Distributed products with R and A = R B W^-1 over a network.
 
-    Rows of R are organized into blocks; within a block the clusters
-    carrying the rows partition (part of) the node set into connected
-    pieces, so contracting the edges inside clusters makes each cluster
-    one supernode, and one consensus round folds per-row sums.  The
-    transshipment approximator contributes one block per (scale,
-    clustering) with a vector payload over the upper clusterings; the
-    tree approximator contributes one block per tree depth.  Construction
-    for the transshipment case runs the containment consensus rounds that
-    let every node assemble its own column of R; entries go through the
-    same formula helper as the centralized builder, so the columns agree
-    bit for bit.
+    The rows of R come in the approximator's blocks (see
+    boxflow.approx_common): the clusters of a block partition (part of)
+    the node set into connected pieces, so contracting the edges inside
+    clusters makes each cluster one supernode, and one consensus round
+    folds the row sums of the whole block.  For the multi-scale
+    transshipment approximator the nodes work out their own columns:
+    construction runs one edge-id round, whose votes say which edges
+    contract, and one containment consensus round per lower clustering,
+    and evaluates the entries with the centralized builder's helper, so
+    the columns agree bit for bit.  Tree blocks and the single-scale
+    identity come with their entries, scaled here, and take no rounds.
     """
 
     def __init__(self, net, approx):
@@ -194,35 +205,23 @@ class MinorAggCore:
         g = net.g
         self.n, self.m = g.n, g.m
         self.k = approx.R.n_rows
-        self._blocks = []
-        if approx.norm_kind == "l1":
-            self._init_ts_blocks()
+        if approx.norm_kind == "l1" and approx.structures.n_scales > 1:
+            columns = self._ts_columns()
         else:
-            self._init_tree_blocks()
-        self._finish_blocks(g)
+            columns = [
+                (b.ids[g.tail] == b.ids[g.head], b.entries * approx.scale)
+                for b in approx.blocks
+            ]
+        self._blocks = [
+            self._wire(b, contract, entries)
+            for b, (contract, entries) in zip(approx.blocks, columns, strict=True)
+        ]
 
-    # -- transshipment blocks ----------------------------------------------
-
-    def _init_ts_blocks(self):
+    def _ts_columns(self):
+        """Contract votes and scaled entries of every (i, j) block, from
+        the nodes' own consensus rounds."""
         ds = self.approx.structures
-        scale = self.approx.scale
         structures = ds.structures
-
-        if len(structures) == 1:
-            # degenerate single-scale fallback: s * beta * identity
-            ids = np.arange(self.n)
-            entries = np.full((self.n, 1), float(ds.scales.beta) * scale)
-            self._blocks.append(
-                {
-                    "contract": np.zeros(self.m, dtype=bool),
-                    "cluster_id": ids,
-                    "n_clusters": self.n,
-                    "row_of": [np.arange(self.n)],
-                    "entries": entries,
-                }
-            )
-            return
-
         # one aggregation round: edges learn their endpoints' cluster ids
         # for every (scale, clustering); payload is polylog many ids
         id_tables = np.stack(
@@ -234,119 +233,52 @@ class MinorAggCore:
             edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
             label="edge-id-setup",
         )
-        # one row of votes per clustering: an edge votes to contract when
-        # its endpoints' ids agree
-        votes = (res.edge_tail_value == res.edge_head_value).T.copy()
-
-        row = 0
-        col = 0
+        # one row of votes per clustering, lower clusterings first: an
+        # edge votes to contract when its endpoints' ids agree
+        votes = iter((res.edge_tail_value == res.edge_head_value).T.copy())
+        columns = []
         for i in range(len(structures) - 1):
-            low, high = structures[i], structures[i + 1]
-            d_next = ds.scales.levels[i + 1]
-            num_hi = high.cover.num_clusterings
-            for j, clustering in enumerate(low.cover.clusterings):
-                ids = clustering.ids
-                n_clusters = clustering.n_clusters
-                contract = votes[col]
-                col += 1
+            num_hi = structures[i + 1].cover.num_clusterings
+            hi_ids = np.stack(
+                [cl.ids for cl in structures[i + 1].cover.clusterings], axis=1
+            ).astype(np.float64)
+            for j in range(structures[i].cover.num_clusterings):
+                contract = next(votes)
                 # containment of C_{i,j}(v) in C_{i+1,jp}(v): all members
                 # agree on the higher cluster id, checked by a (max, -min)
                 # consensus over the cluster-contracted minor
-                hi_ids = np.stack(
-                    [high.cover.clusterings[jp].ids for jp in range(num_hi)], axis=1
-                ).astype(np.float64)
                 res = self.net.run_round(
                     contract=contract,
                     node_values=np.concatenate([hi_ids, -hi_ids], axis=1),
                     consensus_op="max",
                     label=f"containment i={i} j={j}",
                 )
-                mx = res.consensus[:, :num_hi]
-                mn = -res.consensus[:, num_hi:]
-                contained = mx == mn  # per node, per jp
-                p_lo = low.p[j]
-                entries = np.zeros((self.n, num_hi))
-                for jp in range(num_hi):
-                    p_hi = high.p[jp]
-                    for v in range(self.n):
-                        if contained[v, jp]:
-                            entries[v, jp] = (
-                                r_entry(d_next, p_lo[v], p_hi[v], low.w[v], high.w[v]) * scale
-                            )
-                row_of = []
-                for jp in range(num_hi):
-                    row_of.append(np.arange(row, row + n_clusters))
-                    row += n_clusters
-                self._blocks.append(
-                    {
-                        "contract": contract,
-                        "cluster_id": ids,
-                        "n_clusters": n_clusters,
-                        "row_of": row_of,
-                        "entries": entries,
-                    }
-                )
+                contained = res.consensus[:, :num_hi] == -res.consensus[:, num_hi:]
+                entries = block_entries(ds, i, j, contained) * self.approx.scale
+                columns.append((contract, entries))
+        return columns
 
-    # -- tree blocks --------------------------------------------------------
-
-    def _init_tree_blocks(self):
-        g = self.net.g
-        tree = self.approx.tree
-        scale = self.approx.scale
-        row_of_tree_node = {x: r for r, x in enumerate(self.approx.row_decode)}
-        by_depth = {}
-        for x in range(tree.n_nodes):
-            if tree.parent[x] >= 0:
-                by_depth.setdefault(tree.depth[x], []).append(x)
-        for depth in sorted(by_depth):
-            nodes = by_depth[depth]
-            n_real = len(nodes)
-            cluster_id = np.full(self.n, -1, dtype=np.int64)
-            entries = np.zeros((self.n, 1))
-            rows = np.empty(n_real, dtype=np.int64)
-            for cid, x in enumerate(nodes):
-                rows[cid] = row_of_tree_node[x]
-                for v in tree.subtree[x]:
-                    cluster_id[v] = cid
-                    entries[v, 0] = scale * (1.0 / tree.cap[x])
-            # nodes whose leaf sits above this depth become filler
-            # singletons with zero entries; their ids are unique, so no
-            # edge between two of them contracts
-            filler = np.flatnonzero(cluster_id < 0)
-            cluster_id[filler] = n_real + np.arange(len(filler))
-            self._blocks.append(
-                {
-                    "contract": cluster_id[g.tail] == cluster_id[g.head],
-                    "cluster_id": cluster_id,
-                    "n_clusters": n_real,
-                    "row_of": [rows],
-                    "entries": entries,
-                }
-            )
-
-    # -- shared machinery ----------------------------------------------------
-
-    def _finish_blocks(self, g):
-        """Edge-local column data per block, used by the A products, and
+    def _wire(self, blk, contract, entries):
+        """Edge-local column data of a block, used by the A products, and
         a representative node per cluster, where the products read its
         sums."""
-        tail, head = g.tail, g.head
+        g = self.net.g
         inv_w = 1.0 / g.weight
-        for blk in self._blocks:
-            ids = blk["cluster_id"]
-            ent = blk["entries"]  # (n, num_jp)
-            same = blk["contract"]
-            # A entry of edge e in the rows of its tail-side and head-side
-            # clusters (internal edges touch a single row)
-            ent_t = ent[tail]
-            ent_h = ent[head]
-            val_tail = (ent_t - np.where(same[:, None], ent_h, 0.0)) * inv_w[:, None]
-            val_head = (np.where(same[:, None], ent_t, 0.0) - ent_h) * inv_w[:, None]
-            blk["edge_val_tail"] = val_tail
-            blk["edge_val_head"] = val_head
-            blk["edge_same"] = same
+        # A entry of edge e in the rows of its tail-side and head-side
+        # clusters (internal edges touch a single row)
+        ent_t = entries[g.tail]
+        ent_h = entries[g.head]
+        return _WiredBlock(
+            ids=blk.ids,
+            n_clusters=blk.n_clusters,
+            rows=blk.rows,
+            entries=entries,
+            contract=contract,
+            edge_val_tail=(ent_t - np.where(contract[:, None], ent_h, 0.0)) * inv_w[:, None],
+            edge_val_head=(np.where(contract[:, None], ent_t, 0.0) - ent_h) * inv_w[:, None],
             # every cluster id 0..n_clusters-1 has a member; fillers sort after
-            blk["rep"] = np.unique(ids, return_index=True)[1][: blk["n_clusters"]]
+            rep=np.unique(blk.ids, return_index=True)[1][: blk.n_clusters],
+        )
 
     @property
     def rounds(self):
@@ -358,30 +290,12 @@ class MinorAggCore:
         Bit-identical to the centralized scaled matrix because entries go
         through the same arithmetic.
         """
-        rows, cols, vals = [], [], []
-        for blk in self._blocks:
-            ids = blk["cluster_id"]
-            ent = blk["entries"]
-            for jp, row_of in enumerate(blk["row_of"]):
-                v = np.flatnonzero((ids < blk["n_clusters"]) & (ent[:, jp] != 0.0))
-                rows.append(row_of[ids[v]])
-                cols.append(v)
-                vals.append(ent[v, jp])
-        return ColSparseMatrix.from_triplets(
-            self.k,
-            self.n,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-            col_bound=self.approx.scaled_R().col_bound,
-        )
+        return assemble_R(self._blocks, self.k, self.n, self.approx.scaled_R().col_bound)
 
     def _scatter_rows(self, out, blk, consensus):
         """Place each cluster's folded sums, read at its representative
         node, in the cluster's rows."""
-        sums = consensus[blk["rep"]]
-        for jp, row_of in enumerate(blk["row_of"]):
-            out[row_of] = sums[:, jp]
+        out[blk.rows] = consensus[blk.rep].T
 
     # -- products ---------------------------------------------------------
 
@@ -391,8 +305,8 @@ class MinorAggCore:
         out = np.zeros(self.k)
         for blk in self._blocks:
             res = self.net.run_round(
-                contract=blk["contract"],
-                node_values=blk["entries"] * x[:, None],
+                contract=blk.contract,
+                node_values=blk.entries * x[:, None],
                 consensus_op="sum",
                 label="mul_R block",
             )
@@ -404,14 +318,11 @@ class MinorAggCore:
         y = np.asarray(y, dtype=np.float64)
         out = np.zeros(self.n)
         for blk in self._blocks:
-            ids = blk["cluster_id"]
-            ent = blk["entries"]
-            nc = blk["n_clusters"]
-            member = ids < nc
-            for jp, row_of in enumerate(blk["row_of"]):
+            member = blk.ids < blk.n_clusters
+            for jp, row_of in enumerate(blk.rows):
                 gathered = np.zeros(self.n)
-                gathered[member] = y[row_of[ids[member]]]
-                out += ent[:, jp] * gathered
+                gathered[member] = y[row_of[blk.ids[member]]]
+                out += blk.entries[:, jp] * gathered
         return out
 
     def _forward_block_product(self, x, use_abs, label):
@@ -420,13 +331,13 @@ class MinorAggCore:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros(self.k)
         for blk in self._blocks:
-            vt = blk["edge_val_tail"]
-            vh = blk["edge_val_head"]
+            vt = blk.edge_val_tail
+            vh = blk.edge_val_head
             if use_abs:
                 vt, vh = np.abs(vt), np.abs(vh)
             vt = vt * x[:, None]
             vh = vh * x[:, None]
-            same = blk["edge_same"]
+            same = blk.contract
 
             def edge_fn(alive, yt, yh, vt=vt, vh=vh, same=same):
                 # internal edges hand their whole term to the tail side
@@ -438,7 +349,7 @@ class MinorAggCore:
                 edge_value_fn=edge_fn, aggregate_op="sum", label=f"{label} partials"
             ).aggregate
             res = self.net.run_round(
-                contract=blk["contract"],
+                contract=blk.contract,
                 node_values=partial,
                 consensus_op="sum",
                 label=f"{label} consensus",
@@ -457,12 +368,10 @@ class MinorAggCore:
         values of y to its incident edges, which then dot their columns."""
         columns = []
         for blk in self._blocks:
-            ids = blk["cluster_id"]
-            nc = blk["n_clusters"]
-            member = ids < nc
-            for row_of in blk["row_of"]:
+            member = blk.ids < blk.n_clusters
+            for row_of in blk.rows:
                 vals = np.zeros(self.n)
-                vals[member] = y[row_of[ids[member]]]
+                vals[member] = y[row_of[blk.ids[member]]]
                 columns.append(vals)
         table = np.stack(columns, axis=1)  # row values known at each node
         res = self.net.run_round(
@@ -476,10 +385,10 @@ class MinorAggCore:
         out = np.zeros(self.m)
         col = 0
         for blk in self._blocks:
-            same = blk["edge_same"]
-            vt = np.abs(blk["edge_val_tail"]) if use_abs else blk["edge_val_tail"]
-            vh = np.abs(blk["edge_val_head"]) if use_abs else blk["edge_val_head"]
-            for jp in range(len(blk["row_of"])):
+            same = blk.contract
+            vt = np.abs(blk.edge_val_tail) if use_abs else blk.edge_val_tail
+            vh = np.abs(blk.edge_val_head) if use_abs else blk.edge_val_head
+            for jp in range(len(blk.rows)):
                 out += vt[:, jp] * yt[:, col]
                 out += np.where(same, 0.0, vh[:, jp] * yh[:, col])
                 col += 1

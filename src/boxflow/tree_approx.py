@@ -6,7 +6,9 @@ the cut capacity cap(e) = sum of 1/w over graph edges leaving S_e.  The
 approximator has one row per tree edge with entries 1/cap(e) on S_e, so
 ||R d||_inf = max_e |d(S_e)| / cap(e) is exactly the best cut bound the
 laminar family certifies; it never exceeds the true optimum, and the
-calibration scale covers the other side.
+calibration scale covers the other side.  R is laid out as one block per
+tree depth (see boxflow.approx_common): the tree nodes of one depth have
+disjoint vertex sets, which are the block's clusters.
 """
 
 import math
@@ -14,17 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boxflow.approx_common import BaseApproximator, calibrate
+from boxflow.approx_common import BaseApproximator, Block, assemble_R, calibrate
 from boxflow.graphs import dijkstra
 from boxflow.rng import child_rng
-from boxflow.sparsemat import ColSparseMatrix
 
 
 @dataclass
 class DecompTree:
     parent: list  # per tree node, -1 at the root
-    children: list
-    leaf_vertex: list  # graph vertex for leaves, -1 for internal nodes
     leaf_of: list  # tree node per graph vertex
     depth: list
     cap: list  # cut capacity of the edge to the parent (root: 0)
@@ -83,26 +82,20 @@ def build_tree(g, seed=0):
     logarithmic.
     """
     rng = child_rng(seed, "tree")
-    parent, children, leaf_vertex, depth = [], [], [], []
+    parent, depth = [], []
     leaf_of = [-1] * g.n
 
     def new_node(par):
         idx = len(parent)
         parent.append(par)
-        children.append([])
-        leaf_vertex.append(-1)
         depth.append(0 if par < 0 else depth[par] + 1)
-        if par >= 0:
-            children[par].append(idx)
         return idx
 
     def build(members, par):
         # members is connected here, so every subtree set is connected
         node = new_node(par)
         if len(members) == 1:
-            v = int(members[0])
-            leaf_vertex[node] = v
-            leaf_of[v] = node
+            leaf_of[int(members[0])] = node
             return node
         left, right = _balanced_split(g, list(members), rng)
         # a half may fall apart; its components become direct children so
@@ -140,8 +133,6 @@ def build_tree(g, seed=0):
 
     tree = DecompTree(
         parent=parent,
-        children=children,
-        leaf_vertex=leaf_vertex,
         leaf_of=leaf_of,
         depth=depth,
         cap=cap,
@@ -156,44 +147,49 @@ def build_tree(g, seed=0):
 
 
 def tree_to_R(tree, n):
-    """One row per non-root tree edge: 1/cap(e) on the vertices below it.
+    """One row per non-root tree edge, in tree node id order: 1/cap(e) on
+    the vertices below it.
 
     Column sparsity is the tree height (a vertex appears once per strict
-    ancestor).  Returns (ColSparseMatrix, row_decode) where decode entries
-    are tree node ids.
+    ancestor).  Returns (ColSparseMatrix, blocks) with one block per depth
+    1..height; vertices whose leaf sits above a depth get filler ids there.
     """
-    rows, cols, vals = [], [], []
-    decode = []
+    height = tree.height
+    ids = np.full((height, n), -1, dtype=np.int64)
+    entries = np.zeros((height, n))
+    rows = [[] for _ in range(height)]
+    row = 0
     for x in range(tree.n_nodes):
         if tree.parent[x] < 0:
             continue
-        row = len(decode)
-        decode.append(x)
-        inv_cap = 1.0 / tree.cap[x]
-        for v in tree.subtree[x]:
-            rows.append(row)
-            cols.append(v)
-            vals.append(inv_cap)
-    R = ColSparseMatrix.from_triplets(
-        len(decode), n, rows, cols, vals, col_bound=max(1, tree.height)
-    )
-    return R, decode
+        d = tree.depth[x] - 1
+        below = np.array(tree.subtree[x])
+        ids[d, below] = len(rows[d])
+        entries[d, below] = 1.0 / tree.cap[x]
+        rows[d].append(row)
+        row += 1
+    blocks = []
+    for d in range(height):
+        filler = np.flatnonzero(ids[d] < 0)
+        ids[d, filler] = len(rows[d]) + np.arange(len(filler))
+        blocks.append(Block(ids[d], len(rows[d]), np.array([rows[d]]), entries[d][:, None]))
+    return assemble_R(blocks, row, n, col_bound=max(1, height)), blocks
 
 
 class TreeApproximator(BaseApproximator):
     norm_kind = "linf"
 
-    def __init__(self, graph, tree, R_raw, row_decode, seed):
-        super().__init__(graph, R_raw, row_decode, seed)
+    def __init__(self, graph, tree, R_raw, blocks, seed):
+        super().__init__(graph, R_raw, blocks, seed)
         self.tree = tree
 
 
-def build_mf_approximator(g, seed=0, calibrate_scale=True, calibration_batch=200):
+def build_mf_approximator(g, seed=0, calibrate_scale=True):
     tree = build_tree(g, seed)
-    R, decode = tree_to_R(tree, g.n)
-    approx = TreeApproximator(g, tree, R, decode, seed)
+    R, blocks = tree_to_R(tree, g.n)
+    approx = TreeApproximator(g, tree, R, blocks, seed)
     if calibrate_scale:
         # safety 2: the laminar cut-bound ratio keeps drifting above any
         # finite batch maximum on fresh demands (measured <= 1.5x)
-        calibrate(approx, seed, batch_size=calibration_batch, multipoint=24, safety=2.0)
+        calibrate(approx, seed, multipoint=24, safety=2.0)
     return approx

@@ -8,103 +8,85 @@ the lower clustering.  The entry for node v is
 
 when v lies in C and C sits inside v's cluster one scale up, else zero.
 Column sparsity is bounded by the number of (i, j, j') triples since each
-triple contributes at most one row per node.
+triple contributes at most one row per node.  The rows of one (i, j) pair
+form one block of the layout described in boxflow.approx_common, with a
+column slot per j'.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from boxflow.approx_common import BaseApproximator, calibrate
+from boxflow.approx_common import BaseApproximator, Block, assemble_R, calibrate
 from boxflow.covers import build_distance_structures, default_tau
 from boxflow.graphs import Graph
-from boxflow.sparsemat import ColSparseMatrix
 
 
 def r_entry(d_next, p_low, p_high, w_low, w_high):
-    """Row entry formula; shared with the distributed builder so both sides
-    produce bit-identical values."""
+    """Row entry formula, elementwise on scalars or arrays."""
     return d_next * (p_low * p_high) / (w_low * w_high)
 
 
-def _containment_table(ds):
-    """contained[i][j][cid] -> list of j' with cluster cid inside its
-    (i+1, j') cluster."""
-    table = []
-    for i in range(len(ds.structures) - 1):
-        low = ds.structures[i].cover
-        high = ds.structures[i + 1].cover
-        per_j = []
-        for clustering in low.clusterings:
-            per_cluster = []
-            for members in clustering.members:
-                js = []
-                for jp, upper in enumerate(high.clusterings):
-                    ids = upper.ids[members]
-                    if (ids == ids[0]).all():
-                        js.append(jp)
-                per_cluster.append(js)
-            per_j.append(per_cluster)
-        table.append(per_j)
-    return table
+def _contained(ids, n_clusters, upper_ids):
+    """Per node and upper clustering jp: does the node's cluster lie inside
+    one cluster of jp?  upper_ids is (n, num_jp)."""
+    hi = np.full((n_clusters, upper_ids.shape[1]), -1, dtype=np.int64)
+    lo = np.full((n_clusters, upper_ids.shape[1]), len(ids), dtype=np.int64)
+    np.maximum.at(hi, ids, upper_ids)
+    np.minimum.at(lo, ids, upper_ids)
+    return (hi == lo)[ids]
 
 
-def build_R(ds, graph=None):
-    """Assemble R and its row decode table from a DistanceStructureSet.
-
-    Returns (ColSparseMatrix, row_decode) with row_decode[r] = (i, j, j',
-    cluster_id).  When only scale 0 exists the fallback is D_1 times the
-    identity over singleton rows, so R is never 0 x n.
-    """
-    n = len(ds.structures[0].w)
-    scales = ds.scales
-    if len(ds.structures) == 1:
-        d1 = float(scales.beta)
-        rows = np.arange(n)
-        decode = [(0, 0, 0, v) for v in range(n)]
-        R = ColSparseMatrix.from_triplets(n, n, rows, rows, np.full(n, d1), col_bound=1)
-        return R, decode
-
-    contained = _containment_table(ds)
-    decode = []
-    rows, cols, vals = [], [], []
-    col_count = np.zeros(n, dtype=np.int64)
-    for i in range(len(ds.structures) - 1):
-        low = ds.structures[i]
-        high = ds.structures[i + 1]
-        d_next = scales.levels[i + 1]
-        for j, clustering in enumerate(low.cover.clusterings):
-            p_low = low.p[j]
-            for jp in range(high.cover.num_clusterings):
-                p_high = high.p[jp]
-                high_ids = high.cover.clusterings[jp].ids
-                for cid, members in enumerate(clustering.members):
-                    row = len(decode)
-                    decode.append((i, j, jp, cid))
-                    if jp not in contained[i][j][cid]:
-                        continue
-                    for v in members:
-                        v = int(v)
-                        val = r_entry(d_next, p_low[v], p_high[v], low.w[v], high.w[v])
-                        if val != 0.0:
-                            rows.append(row)
-                            cols.append(v)
-                            vals.append(val)
-                            col_count[v] += 1
-    bound = 0
-    for i in range(len(ds.structures) - 1):
-        bound += ds.structures[i].cover.num_clusterings * ds.structures[i + 1].cover.num_clusterings
-    R = ColSparseMatrix.from_triplets(
-        len(decode), n, rows, cols, vals, col_bound=max(1, bound)
+def block_entries(ds, i, j, contained):
+    """Entries of the (i, j) block: r_entry at every node whose cluster is
+    contained (n, num_jp) in its upper cluster, else 0.  Shared with the
+    distributed builder, which supplies its own containment."""
+    low, high = ds.structures[i], ds.structures[i + 1]
+    vals = r_entry(
+        ds.scales.levels[i + 1],
+        low.p[j][:, None],
+        np.stack(high.p, axis=1),
+        low.w[:, None],
+        high.w[:, None],
     )
-    return R, decode
+    return np.where(contained, vals, 0.0)
+
+
+def build_R(ds):
+    """Assemble R and its blocks from a DistanceStructureSet.
+
+    Returns (ColSparseMatrix, blocks) with one block per (scale i, lower
+    clustering j) and rows base + jp * n_clusters + cid, every (i, j, jp,
+    cid) row present even when empty.  When only scale 0 exists the
+    fallback is D_1 times the identity, one singleton block, so R is never
+    0 x n.
+    """
+    structures = ds.structures
+    n = len(structures[0].w)
+    if len(structures) == 1:
+        ids = np.arange(n)
+        block = Block(ids, n, ids[None, :], np.full((n, 1), float(ds.scales.beta)))
+        return assemble_R([block], n, n, col_bound=1), [block]
+
+    blocks = []
+    base = 0
+    bound = 0
+    for i in range(len(structures) - 1):
+        upper = structures[i + 1].cover.clusterings
+        upper_ids = np.stack([cl.ids for cl in upper], axis=1)
+        bound += structures[i].cover.num_clusterings * len(upper)
+        for j, clustering in enumerate(structures[i].cover.clusterings):
+            k = clustering.n_clusters
+            contained = _contained(clustering.ids, k, upper_ids)
+            rows = base + np.arange(len(upper) * k).reshape(len(upper), k)
+            base += len(upper) * k
+            blocks.append(Block(clustering.ids, k, rows, block_entries(ds, i, j, contained)))
+    return assemble_R(blocks, base, n, col_bound=max(1, bound)), blocks
 
 
 class TsApproximator(BaseApproximator):
     norm_kind = "l1"
 
-    def __init__(self, graph, structures, R_raw, row_decode, seed, weight_scale):
-        super().__init__(graph, R_raw, row_decode, seed)
+    def __init__(self, graph, structures, R_raw, blocks, seed, weight_scale):
+        super().__init__(graph, R_raw, blocks, seed)
         self.structures = structures
         self.weight_scale = weight_scale
 
@@ -125,22 +107,15 @@ def _normalized_graph(g):
     return Graph(g.n, edges), min_w
 
 
-def build_ts_approximator(
-    g,
-    seed=0,
-    tau=None,
-    num_clusterings=None,
-    calibrate_scale=True,
-    calibration_batch=200,
-):
+def build_ts_approximator(g, seed=0, tau=None, calibrate_scale=True):
     """Build distance structures on the weight-normalized graph, assemble
     R, and (by default) fit the calibration scale against shortest-path
     oracles."""
     tau = tau if tau is not None else default_tau(g.n)
     norm_g, weight_scale = _normalized_graph(g)
-    ds = build_distance_structures(norm_g, tau=tau, seed=seed, num_clusterings=num_clusterings)
-    R, decode = build_R(ds)
-    approx = TsApproximator(g, ds, R, decode, seed, weight_scale)
+    ds = build_distance_structures(norm_g, tau=tau, seed=seed)
+    R, blocks = build_R(ds)
+    approx = TsApproximator(g, ds, R, blocks, seed, weight_scale)
     if calibrate_scale:
-        calibrate(approx, seed, batch_size=calibration_batch)
+        calibrate(approx, seed)
     return approx

@@ -139,8 +139,33 @@ def test_ts_contract_votes_match_cluster_ids():
         lower = [cl for st in approx.structures.structures[:-1] for cl in st.cover.clusterings]
         assert len(core._blocks) == len(lower)
         for blk, cl in zip(core._blocks, lower):
-            assert np.array_equal(blk["contract"], cl.ids[g.tail] == cl.ids[g.head])
+            assert np.array_equal(blk.contract, cl.ids[g.tail] == cl.ids[g.head])
         assert {r["label"]: r["rounds"] for r in net.trace}["edge-id-setup"] == 1
+
+
+def test_ts_core_computes_its_own_entries():
+    # the core must derive its columns from its own rounds, never from the
+    # centralized block entries
+    inputs = graphs_for_equivalence() + [grid_graph(6, 6)]
+    for gi, g in enumerate(inputs):
+        tau = 2 if gi == 3 else None
+        approx = build_ts_approximator(g, seed=40 + gi, tau=tau)
+        for blk in approx.blocks:
+            blk.entries = np.zeros_like(blk.entries)
+        net = MinorAggNetwork(g)
+        got = MinorAggCore(net, approx).r_columns().to_csc()
+        want = build_ts_approximator(g, seed=40 + gi, tau=tau).scaled_R().to_csc()
+        assert want.nnz > 0
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        ds = approx.structures
+        n_lower = sum(st.cover.num_clusterings for st in ds.structures[:-1])
+        rounds = {r["label"]: r["rounds"] for r in net.trace}
+        assert rounds.pop("edge-id-setup") == 1
+        assert len(rounds) == n_lower
+        assert all(label.startswith("containment") and k == 1 for label, k in rounds.items())
+        assert net.round_count == 1 + n_lower
 
 
 def _assert_six_products_match(g, approx, rng):

@@ -28,15 +28,21 @@ def crossing_capacity(g, side):
 
 def check_tree_invariants(g, tree):
     n = g.n
+    children = [[] for _ in range(tree.n_nodes)]
+    for x, par in enumerate(tree.parent):
+        if par >= 0:
+            children[par].append(x)
     # graph vertices are exactly the leaves
-    leaves = [x for x in range(tree.n_nodes) if tree.leaf_vertex[x] >= 0]
-    assert sorted(tree.leaf_vertex[x] for x in leaves) == list(range(n))
+    leaves = [x for x in range(tree.n_nodes) if not children[x]]
+    assert sorted(tree.leaf_of) == leaves
+    for v, x in enumerate(tree.leaf_of):
+        assert tree.subtree[x] == [v]
     assert tree.n_nodes <= 2 * n
     assert tree.height <= 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 2
     # laminar family: children partition the parent's subtree
     for x in range(tree.n_nodes):
-        if tree.children[x]:
-            merged = sorted(v for c in tree.children[x] for v in tree.subtree[c])
+        if children[x]:
+            merged = sorted(v for c in children[x] for v in tree.subtree[c])
             assert merged == tree.subtree[x]
     # cut capacities match direct enumeration; positive off the root
     for x in range(tree.n_nodes):
@@ -50,7 +56,7 @@ def test_single_edge_tree():
     g = Graph(2, [(0, 1, 1.0)])
     tree = build_tree(g)
     check_tree_invariants(g, tree)
-    R, decode = tree_to_R(tree, 2)
+    R, _ = tree_to_R(tree, 2)
     d = np.array([1.0, -1.0])
     assert np.abs(R.matvec(d)).max() == 1.0  # = OPT for the unit edge
 
@@ -60,8 +66,7 @@ def test_star_leaf_cuts():
     tree = build_tree(g)
     check_tree_invariants(g, tree)
     # every leaf vertex except possibly the center sits under a unit cut
-    for x in range(tree.n_nodes):
-        v = tree.leaf_vertex[x]
+    for v, x in enumerate(tree.leaf_of):
         if v > 0:
             assert np.isclose(tree.cap[x], 1.0)
 
@@ -122,6 +127,22 @@ def test_calibrated_sandwich(eight_cycle):
         est = approx.estimate(d)
         assert est >= opt * (1 - 1e-9)
         assert est <= 500.0 * opt
+
+
+def test_tree_R_rows_brute_force():
+    # row r is 1/cap[x] on subtree[x] and 0 elsewhere, x the r-th non-root node
+    rng = np.random.default_rng(4)
+    for g in (cycle_graph(8), grid_graph(5, 5), random_connected_graph(30, rng), star_graph(6)):
+        tree = build_tree(g, seed=2)
+        R, blocks = tree_to_R(tree, g.n)
+        dense = R.to_dense()
+        nonroot = [x for x in range(tree.n_nodes) if tree.parent[x] >= 0]
+        assert dense.shape == (len(nonroot), g.n)
+        for r, x in enumerate(nonroot):
+            want = np.zeros(g.n)
+            want[tree.subtree[x]] = 1.0 / tree.cap[x]
+            assert np.array_equal(dense[r], want)
+        assert len(blocks) == tree.height
 
 
 def test_column_sparsity_is_height(eight_cycle):

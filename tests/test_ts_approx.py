@@ -13,33 +13,66 @@ def test_degenerate_single_scale_fallback():
     g = Graph(2, [(0, 1, 1.0)])
     ds = build_distance_structures(g, tau=2, seed=0)
     assert len(ds.structures) == 1  # D_1 = 16 > 4
-    R, decode = build_R(ds)
+    R, blocks = build_R(ds)
     assert R.shape == (2, 2)
-    assert len(decode) == 2
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0].rows, [[0, 1]])
     # identity-like with entry D_1 = beta
     assert np.allclose(R.to_dense(), 16.0 * np.eye(2))
 
 
+def _lower_clusterings(ds):
+    """(i, j) of every block of build_R, in block order."""
+    return [
+        (i, j)
+        for i in range(len(ds.structures) - 1)
+        for j in range(ds.structures[i].cover.num_clusterings)
+    ]
+
+
 def test_zero_entry_when_p_vanishes(eight_cycle):
-    ds = build_distance_structures(eight_cycle, tau=2, seed=1)
-    R, decode = build_R(ds)
-    # entries follow the formula exactly; check a full reconstruction
-    dense = R.to_dense()
-    scales = ds.scales
-    for row, (i, j, jp, cid) in enumerate(decode):
-        low = ds.structures[i]
-        high = ds.structures[i + 1]
-        members = set(int(x) for x in low.cover.clusterings[j].members[cid])
-        high_ids = high.cover.clusterings[jp].ids
-        contained = len({int(high_ids[v]) for v in members}) == 1
-        for v in range(eight_cycle.n):
-            if v in members and contained:
-                want = r_entry(
-                    scales.levels[i + 1], low.p[j][v], high.p[jp][v], low.w[v], high.w[v]
-                )
-            else:
-                want = 0.0
-            assert dense[row, v] == want
+    # tau 2 gives the grid and the random graph three scales (levels 1, 16
+    # and 256) and 11-12 clusterings at the middle one.  There every lower
+    # cluster is a singleton or sits inside the one top cluster; on the
+    # weighted 60-cycle at tau 3 (four scales) the clusters of 59 of the
+    # 435 rows straddle an upper cluster boundary.
+    inputs = [
+        (eight_cycle, 2, 1),
+        (grid_graph(6, 6), 2, 0),
+        (random_connected_graph(24, np.random.default_rng(3)), 2, 2),
+        (cycle_graph(60, weight=10.0), 3, 0),
+    ]
+    for g, tau, seed in inputs:
+        ds = build_distance_structures(g, tau=tau, seed=seed)
+        R, blocks = build_R(ds)
+        # entries follow the formula exactly; check a full reconstruction
+        dense = R.to_dense()
+        scales = ds.scales
+        seen = []
+        for blk, (i, j) in zip(blocks, _lower_clusterings(ds), strict=True):
+            low = ds.structures[i]
+            high = ds.structures[i + 1]
+            clustering = low.cover.clusterings[j]
+            for jp in range(high.cover.num_clusterings):
+                high_ids = high.cover.clusterings[jp].ids
+                for cid in range(clustering.n_clusters):
+                    row = blk.rows[jp, cid]
+                    seen.append(row)
+                    members = set(int(x) for x in clustering.members[cid])
+                    contained = len({int(high_ids[v]) for v in members}) == 1
+                    for v in range(g.n):
+                        if v in members and contained:
+                            want = r_entry(
+                                scales.levels[i + 1],
+                                low.p[j][v],
+                                high.p[jp][v],
+                                low.w[v],
+                                high.w[v],
+                            )
+                        else:
+                            want = 0.0
+                        assert dense[row, v] == want
+        assert seen == list(range(R.n_rows))
 
 
 def test_rows_and_column_sparsity_bounds():
@@ -58,13 +91,18 @@ def test_rows_and_column_sparsity_bounds():
         assert approx.R.max_col_nnz() <= max(1, pair_bound)
 
 
-def test_row_decode_retrievable(eight_cycle):
+def test_block_rows_retrievable(eight_cycle):
+    # every row of R names its (i, j, jp, cluster) through the blocks
     approx = build_ts_approximator(eight_cycle, seed=0, calibrate_scale=False)
-    for row, (i, j, jp, cid) in enumerate(approx.row_decode):
-        st = approx.structures.structures[i]
-        assert 0 <= j < st.cover.num_clusterings
-        assert 0 <= jp < approx.structures.structures[i + 1].cover.num_clusterings
-        assert 0 <= cid < st.cover.clusterings[j].n_clusters
+    ds = approx.structures
+    for blk, (i, j) in zip(approx.blocks, _lower_clusterings(ds), strict=True):
+        clustering = ds.structures[i].cover.clusterings[j]
+        assert np.array_equal(blk.ids, clustering.ids)
+        assert blk.n_clusters == clustering.n_clusters
+        assert blk.rows.shape == (ds.structures[i + 1].cover.num_clusterings, blk.n_clusters)
+        assert blk.entries.shape == (eight_cycle.n, blk.rows.shape[0])
+    rows = np.concatenate([blk.rows.ravel() for blk in approx.blocks])
+    assert np.array_equal(rows, np.arange(approx.R.n_rows))
 
 
 def test_calibrated_sandwich_on_cycle(eight_cycle):
