@@ -49,12 +49,17 @@ def build_parser():
         if eps:
             p.add_argument("--eps", type=float, default=0.1, help="accuracy target")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tau", type=int, default=None, help="distance-scale parameter")
         p.add_argument("--report", default=None, help="write the JSON report here")
+
+    def tau(p):
+        # only the cover-based transshipment approximator has distance scales
+        p.add_argument("--tau", type=int, default=None, help="distance-scale parameter")
 
     for name in ("transshipment", "maxflow"):
         p = sub.add_parser(name, help=f"approximate {name} solve")
         common(p)
+        if name == "transshipment":
+            tau(p)
         p.add_argument("--mode", choices=("centralized", "minor-agg"), default="centralized")
         p.add_argument("--calibrate", choices=("on", "off"), default="on")
 
@@ -64,11 +69,13 @@ def build_parser():
 
     p = sub.add_parser("approx-quality", help="calibration and sandwich measurements")
     common(p, demand=False, eps=False)
+    tau(p)
     p.add_argument("--calibrate", choices=("on", "off"), default="on")
     p.add_argument("--samples", type=int, default=50)
 
     p = sub.add_parser("dist-demo", help="minor-aggregation equivalence demo")
     common(p, demand=False, eps=False)
+    tau(p)
     return parser
 
 

@@ -224,7 +224,6 @@ class DistanceStructure:
 class DistanceStructureSet:
     scales: DistanceScales
     structures: list  # DistanceStructure per scale index
-    seed: int
     num_target: int
 
     @property
@@ -254,4 +253,4 @@ def build_distance_structures(g, tau=None, seed=0, num_clusterings=None):
         structure = DistanceStructure(cover=cover, phi=cover.phi)
         compute_pw(structure, tau)
         structures.append(structure)
-    return DistanceStructureSet(scales=scales, structures=structures, seed=seed, num_target=num)
+    return DistanceStructureSet(scales=scales, structures=structures, num_target=num)

@@ -18,13 +18,15 @@ size is bounded by the set of labels however many rounds run.
 
 On top of the raw model sit the distributed implementations of the
 transshipment and tree approximators, over the block layout of R that
-boxflow.approx_common describes: per-node computation of the columns of R
-by cluster-containment consensus rounds, and the six matrix-vector
-products with R, R^T, A = R B W^-1, A^T, |A| and |A|^T.  The products that
-sum per row of R read each row's sum from the consensus of the round they
-run, at one member node of the row's cluster.  Entries are evaluated with
-the same formula helper as the centralized builder, so the columns agree
-bit for bit.
+boxflow.approx_common describes, and the six matrix-vector products with
+R, R^T, A = R B W^-1, A^T, |A| and |A|^T.  A node's column of R is a
+function of its own cluster ids, potentials and weights, which the
+simulator takes from the approximator; set-up only delivers every block's
+cluster ids to the edges, so that each edge knows in which blocks it lies
+inside a cluster.  The products that sum per row of R read each row's sum
+from the consensus of the round they run, at one member node of the row's
+cluster.  Per-node tables wider than the word budget travel in several
+rounds of at most word_budget columns.
 """
 
 import math
@@ -35,7 +37,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from boxflow.approx_common import Block, assemble_R
-from boxflow.ts_approx import block_entries
 
 
 class AuditError(RuntimeError):
@@ -190,73 +191,46 @@ class MinorAggCore:
     boxflow.approx_common): the clusters of a block partition (part of)
     the node set into connected pieces, so contracting the edges inside
     clusters makes each cluster one supernode, and one consensus round
-    folds the row sums of the whole block.  For the multi-scale
-    transshipment approximator the nodes work out their own columns:
-    construction runs one edge-id round, whose votes say which edges
-    contract, and one containment consensus round per lower clustering,
-    and evaluates the entries with the centralized builder's helper, so
-    the columns agree bit for bit.  Tree blocks and the single-scale
-    identity come with their entries, scaled here, and take no rounds.
+    folds the row sums of the whole block.  Every approximator, the
+    multi-scale transshipment one, the tree one and the single-scale
+    identity alike, is set up the same way: one "edge-id-setup" delivery
+    of all blocks' cluster ids gives each edge its contract vote per
+    block (both endpoint ids agree), and each node scales its own block
+    entries, so r_columns() equals the centralized scaled R bit for bit.
     """
 
     def __init__(self, net, approx):
         self.net = net
         self.approx = approx
-        g = net.g
-        self.n, self.m = g.n, g.m
+        self.n, self.m = net.g.n, net.g.m
         self.k = approx.R.n_rows
-        if approx.norm_kind == "l1" and approx.structures.n_scales > 1:
-            columns = self._ts_columns()
-        else:
-            columns = [
-                (b.ids[g.tail] == b.ids[g.head], b.entries * approx.scale)
-                for b in approx.blocks
-            ]
+        ids_t, ids_h = self._deliver(
+            np.stack([b.ids for b in approx.blocks], axis=1), "edge-id-setup"
+        )
         self._blocks = [
-            self._wire(b, contract, entries)
-            for b, (contract, entries) in zip(approx.blocks, columns, strict=True)
+            self._wire(b, ids_t[:, c] == ids_h[:, c], b.entries * approx.scale)
+            for c, b in enumerate(approx.blocks)
         ]
 
-    def _ts_columns(self):
-        """Contract votes and scaled entries of every (i, j) block, from
-        the nodes' own consensus rounds."""
-        ds = self.approx.structures
-        structures = ds.structures
-        # one aggregation round: edges learn their endpoints' cluster ids
-        # for every (scale, clustering); payload is polylog many ids
-        id_tables = np.stack(
-            [cl.ids for st in structures for cl in st.cover.clusterings], axis=1
-        )
-        res = self.net.run_round(
-            node_values=id_tables,
-            consensus_op="max",
-            edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
-            label="edge-id-setup",
-        )
-        # one row of votes per clustering, lower clusterings first: an
-        # edge votes to contract when its endpoints' ids agree
-        votes = iter((res.edge_tail_value == res.edge_head_value).T.copy())
-        columns = []
-        for i in range(len(structures) - 1):
-            num_hi = structures[i + 1].cover.num_clusterings
-            hi_ids = np.stack(
-                [cl.ids for cl in structures[i + 1].cover.clusterings], axis=1
-            ).astype(np.float64)
-            for j in range(structures[i].cover.num_clusterings):
-                contract = next(votes)
-                # containment of C_{i,j}(v) in C_{i+1,jp}(v): all members
-                # agree on the higher cluster id, checked by a (max, -min)
-                # consensus over the cluster-contracted minor
-                res = self.net.run_round(
-                    contract=contract,
-                    node_values=np.concatenate([hi_ids, -hi_ids], axis=1),
-                    consensus_op="max",
-                    label=f"containment i={i} j={j}",
-                )
-                contained = res.consensus[:, :num_hi] == -res.consensus[:, num_hi:]
-                entries = block_entries(ds, i, j, contained) * self.approx.scale
-                columns.append((contract, entries))
-        return columns
+    def _deliver(self, table, label):
+        """Every edge's tail-side and head-side rows of a per-node table
+        (n, columns), sent in no-contraction rounds of at most word_budget
+        columns each."""
+        budget = self.net.word_budget
+        tails, heads = [], []
+        for lo in range(0, table.shape[1], budget):
+            res = self.net.run_round(
+                node_values=table[:, lo : lo + budget],
+                consensus_op="max",
+                edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
+                label=label,
+            )
+            # no contraction, so the delivered values are the table's rows
+            tails.append(res.edge_tail_value)
+            heads.append(res.edge_head_value)
+        if len(tails) == 1:
+            return tails[0], heads[0]
+        return np.concatenate(tails, axis=1), np.concatenate(heads, axis=1)
 
     def _wire(self, blk, contract, entries):
         """Edge-local column data of a block, used by the A products, and
@@ -364,7 +338,7 @@ class MinorAggCore:
         return self._forward_block_product(x, use_abs=True, label="mul_absM")
 
     def _edge_dot(self, y, use_abs):
-        """Local transpose products: one round delivers each node's row
+        """Local transpose products: a delivery hands each node's row
         values of y to its incident edges, which then dot their columns."""
         columns = []
         for blk in self._blocks:
@@ -373,15 +347,8 @@ class MinorAggCore:
                 vals = np.zeros(self.n)
                 vals[member] = y[row_of[blk.ids[member]]]
                 columns.append(vals)
-        table = np.stack(columns, axis=1)  # row values known at each node
-        res = self.net.run_round(
-            node_values=table,
-            consensus_op="max",
-            edge_value_fn=lambda e, yt, yh: (np.zeros(len(e)), np.zeros(len(e))),
-            label="transpose delivery",
-        )
-        # no contraction, so the delivered endpoint values are the tables
-        yt, yh = res.edge_tail_value, res.edge_head_value
+        # row values known at each node
+        yt, yh = self._deliver(np.stack(columns, axis=1), "transpose delivery")
         out = np.zeros(self.m)
         col = 0
         for blk in self._blocks:

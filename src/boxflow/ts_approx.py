@@ -6,7 +6,12 @@ the lower clustering.  The entry for node v is
 
     D_{i+1} * p_{i,j}(v) * p_{i+1,j'}(v) / (w_i(v) * w_{i+1}(v))
 
-when v lies in C and C sits inside v's cluster one scale up, else zero.
+when v lies in C, else zero.  C need not be tested for lying inside one
+cluster of j': it has strong diameter at most D_i, so when it straddles
+a boundary of j' every member has phi_{i+1,j'} <= D_i = D_{i+1}/beta and
+p_{i+1,j'} = 0, which holds while beta >= 4 tau (build_scales fixes
+beta = 8 tau).
+
 Column sparsity is bounded by the number of (i, j, j') triples since each
 triple contributes at most one row per node.  The rows of one (i, j) pair
 form one block of the layout described in boxflow.approx_common, with a
@@ -23,31 +28,6 @@ from boxflow.graphs import Graph
 def r_entry(d_next, p_low, p_high, w_low, w_high):
     """Row entry formula, elementwise on scalars or arrays."""
     return d_next * (p_low * p_high) / (w_low * w_high)
-
-
-def _contained(ids, n_clusters, upper_ids):
-    """Per node and upper clustering jp: does the node's cluster lie inside
-    one cluster of jp?  upper_ids is (n, num_jp)."""
-    hi = np.full((n_clusters, upper_ids.shape[1]), -1, dtype=np.int64)
-    lo = np.full((n_clusters, upper_ids.shape[1]), len(ids), dtype=np.int64)
-    np.maximum.at(hi, ids, upper_ids)
-    np.minimum.at(lo, ids, upper_ids)
-    return (hi == lo)[ids]
-
-
-def block_entries(ds, i, j, contained):
-    """Entries of the (i, j) block: r_entry at every node whose cluster is
-    contained (n, num_jp) in its upper cluster, else 0.  Shared with the
-    distributed builder, which supplies its own containment."""
-    low, high = ds.structures[i], ds.structures[i + 1]
-    vals = r_entry(
-        ds.scales.levels[i + 1],
-        low.p[j][:, None],
-        np.stack(high.p, axis=1),
-        low.w[:, None],
-        high.w[:, None],
-    )
-    return np.where(contained, vals, 0.0)
 
 
 def build_R(ds):
@@ -70,15 +50,18 @@ def build_R(ds):
     base = 0
     bound = 0
     for i in range(len(structures) - 1):
-        upper = structures[i + 1].cover.clusterings
-        upper_ids = np.stack([cl.ids for cl in upper], axis=1)
-        bound += structures[i].cover.num_clusterings * len(upper)
-        for j, clustering in enumerate(structures[i].cover.clusterings):
+        low, high = structures[i], structures[i + 1]
+        num_jp = high.cover.num_clusterings
+        bound += low.cover.num_clusterings * num_jp
+        p_high = np.stack(high.p, axis=1)
+        for clustering, p_low in zip(low.cover.clusterings, low.p, strict=True):
             k = clustering.n_clusters
-            contained = _contained(clustering.ids, k, upper_ids)
-            rows = base + np.arange(len(upper) * k).reshape(len(upper), k)
-            base += len(upper) * k
-            blocks.append(Block(clustering.ids, k, rows, block_entries(ds, i, j, contained)))
+            entries = r_entry(
+                ds.scales.levels[i + 1], p_low[:, None], p_high, low.w[:, None], high.w[:, None]
+            )
+            rows = base + np.arange(num_jp * k).reshape(num_jp, k)
+            base += num_jp * k
+            blocks.append(Block(clustering.ids, k, rows, entries))
     return assemble_R(blocks, base, n, col_bound=max(1, bound)), blocks
 
 

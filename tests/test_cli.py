@@ -144,6 +144,9 @@ def test_validation_exit_codes(files, tmp_path):
     bad = tmp_path / "bad.d"
     bad.write_text("0 1\n")
     assert main(["transshipment", "--graph", files["graph"], "--demand", str(bad)]) == 1
+    # --tau belongs to the cover-based transshipment approximator only
+    assert main(["maxflow", "--graph", files["graph"], "--demand", files["fig2"],
+                 "--tau", "3"]) == 1
     # bad eps
     assert main(["transshipment", "--graph", files["graph"], "--demand", files["fig1"],
                  "--eps", "0.9"]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,42 +132,28 @@ def test_r_columns_bit_identical_to_centralized():
 
 
 def test_ts_contract_votes_match_cluster_ids():
-    # every block contracts the edges inside its clusters; the votes come
-    # from the single edge-id round
-    for gi, g in enumerate(graphs_for_equivalence()):
-        approx = build_ts_approximator(g, seed=40 + gi)
-        net = MinorAggNetwork(g)
-        core = MinorAggCore(net, approx)
-        lower = [cl for st in approx.structures.structures[:-1] for cl in st.cover.clusterings]
-        assert len(core._blocks) == len(lower)
-        for blk, cl in zip(core._blocks, lower):
-            assert np.array_equal(blk.contract, cl.ids[g.tail] == cl.ids[g.head])
-        assert {r["label"]: r["rounds"] for r in net.trace}["edge-id-setup"] == 1
-
-
-def test_ts_core_computes_its_own_entries():
-    # the core must derive its columns from its own rounds, never from the
-    # centralized block entries
-    inputs = graphs_for_equivalence() + [grid_graph(6, 6)]
-    for gi, g in enumerate(inputs):
-        tau = 2 if gi == 3 else None
-        approx = build_ts_approximator(g, seed=40 + gi, tau=tau)
-        for blk in approx.blocks:
-            blk.entries = np.zeros_like(blk.entries)
-        net = MinorAggNetwork(g)
-        got = MinorAggCore(net, approx).r_columns().to_csc()
-        want = build_ts_approximator(g, seed=40 + gi, tau=tau).scaled_R().to_csc()
-        assert want.nnz > 0
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-        ds = approx.structures
-        n_lower = sum(st.cover.num_clusterings for st in ds.structures[:-1])
-        rounds = {r["label"]: r["rounds"] for r in net.trace}
-        assert rounds.pop("edge-id-setup") == 1
-        assert len(rounds) == n_lower
-        assert all(label.startswith("containment") and k == 1 for label, k in rounds.items())
-        assert net.round_count == 1 + n_lower
+    # every block of either approximator contracts the edges inside its
+    # clusters; the votes come from the edge-id delivery, the only set-up
+    # rounds, which a narrower word budget splits into more rounds
+    inputs = graphs_for_equivalence()
+    builds = [build_ts_approximator(g, seed=40 + gi) for gi, g in enumerate(inputs)]
+    builds.append(build_ts_approximator(grid_graph(6, 6), seed=0, tau=2))
+    builds += [
+        build_mf_approximator(g, seed=80 + gi, calibrate_scale=False) for gi, g in enumerate(inputs)
+    ]
+    assert len(builds[3].blocks) > 2
+    for approx in builds:
+        g = approx.graph
+        for budget in (None, 2):
+            net = MinorAggNetwork(g)
+            if budget is not None:
+                net.word_budget = budget
+            core = MinorAggCore(net, approx)
+            for blk, wired in zip(approx.blocks, core._blocks, strict=True):
+                assert np.array_equal(wired.contract, blk.ids[g.tail] == blk.ids[g.head])
+            assert [r["label"] for r in net.trace] == ["edge-id-setup"]
+            assert net.round_count == math.ceil(len(approx.blocks) / net.word_budget)
+            assert net.trace[0]["max_words"] <= net.word_budget
 
 
 def _assert_six_products_match(g, approx, rng):
@@ -195,6 +183,23 @@ def test_all_six_products_match_centralized():
     for gi, g in enumerate(graphs_for_equivalence()):
         approx = build_ts_approximator(g, seed=50 + gi)
         _assert_six_products_match(g, approx, np.random.default_rng(gi))
+
+
+def test_core_messages_fit_word_budget():
+    # many clusterings: set-up once sent every clustering's id in one
+    # message and the transpose delivery one word per row slot, both over
+    # the budget on these builds
+    for g, tau, seed in [
+        (random_connected_graph(9, np.random.default_rng(1)), 2, 0),
+        (cycle_graph(60, weight=10.0), 3, 1),
+    ]:
+        approx = build_ts_approximator(g, seed=seed, tau=tau)
+        core = _assert_six_products_match(g, approx, np.random.default_rng(seed))
+        got, want = core.r_columns().to_csc(), approx.scaled_R().to_csc()
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        assert all(r["max_words"] <= core.net.word_budget for r in core.net.trace)
 
 
 def test_tree_core_matches_centralized():

@@ -35,13 +35,16 @@ def test_zero_entry_when_p_vanishes(eight_cycle):
     # and 256) and 11-12 clusterings at the middle one.  There every lower
     # cluster is a singleton or sits inside the one top cluster; on the
     # weighted 60-cycle at tau 3 (four scales) the clusters of 59 of the
-    # 435 rows straddle an upper cluster boundary.
+    # 435 rows straddle an upper cluster boundary.  build_R never tests
+    # containment, so the set-based reference below checks that those rows
+    # come out empty through p alone.
     inputs = [
         (eight_cycle, 2, 1),
         (grid_graph(6, 6), 2, 0),
         (random_connected_graph(24, np.random.default_rng(3)), 2, 2),
         (cycle_graph(60, weight=10.0), 3, 0),
     ]
+    straddling = 0
     for g, tau, seed in inputs:
         ds = build_distance_structures(g, tau=tau, seed=seed)
         R, blocks = build_R(ds)
@@ -60,6 +63,7 @@ def test_zero_entry_when_p_vanishes(eight_cycle):
                     seen.append(row)
                     members = set(int(x) for x in clustering.members[cid])
                     contained = len({int(high_ids[v]) for v in members}) == 1
+                    straddling += not contained
                     for v in range(g.n):
                         if v in members and contained:
                             want = r_entry(
@@ -73,6 +77,7 @@ def test_zero_entry_when_p_vanishes(eight_cycle):
                             want = 0.0
                         assert dense[row, v] == want
         assert seen == list(range(R.n_rows))
+    assert straddling > 0
 
 
 def test_rows_and_column_sparsity_bounds():
