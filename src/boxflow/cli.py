@@ -149,9 +149,7 @@ def _cmd_solve(args):
     if args.mode == "minor-agg":
         net = MinorAggNetwork(g)
         core = MinorAggCore(net, approx)
-    rep = solver(g, d, args.eps, approx=approx, seed=args.seed, core=core)
-    rep.mode = args.mode
-    return _solve_report_dict(rep)
+    return _solve_report_dict(solver(g, d, args.eps, approx=approx, seed=args.seed, core=core))
 
 
 def _cmd_oracle(args):

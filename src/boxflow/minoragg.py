@@ -199,6 +199,8 @@ class MinorAggCore:
     entries, so r_columns() equals the centralized scaled R bit for bit.
     """
 
+    mode = "minor-agg"
+
     def __init__(self, net, approx):
         self.net = net
         self.approx = approx

@@ -18,13 +18,15 @@ flow of cost at most t: zero when t is at least the optimum and at least
 smallest t whose certified value is at most 2*eps_s; the deciding probe's
 iterate also yields the primal flow, whose demand error is repaired by
 coarse recursive solves plus an exact shortest-path-tree routing.  The
-dual comes from one more solve just below the found threshold, following
-the primal-dual extraction of the underlying reduction.
+dual comes from the other end of the search's bracket: the iterate of
+the highest NO probe, one grid step below the found threshold, turned
+into potentials and normalized to unit dual norm.  By weak duality any
+such potentials bound the optimum from below, whatever the probe's exit.
 
 The accuracy policy is fixed, in fractions of the caller's eps: probes
 run at eps_s = eps/PROBE_DIV, the t grid steps by 1 + eps/GRID_FACTOR,
-the dual solve runs at (1 - eps*DUAL_OFFSET) t, and repair stops at
-eps*REPAIR_THETA times ||R d||, solving its residuals at REPAIR_EPS.
+and repair stops at eps*REPAIR_THETA times ||R d||, solving its
+residuals at REPAIR_EPS.
 """
 
 import math
@@ -39,7 +41,6 @@ from boxflow.ts_approx import build_ts_approximator
 
 PROBE_DIV = 6.0
 GRID_FACTOR = 4.0
-DUAL_OFFSET = 0.5
 REPAIR_THETA = 0.125
 REPAIR_EPS = 0.5
 MAX_BRACKET_EXPANSIONS = 6
@@ -79,6 +80,8 @@ class SolveReport:
 class CentralizedCore:
     """Products with M and s*R on their CSR arrays."""
 
+    mode = "centralized"
+
     def __init__(self, approx):
         self._M = approx.game_operator()
         self._R = approx.scaled_R()
@@ -117,7 +120,7 @@ class _GameFamily:
         self.g = g
         self.approx = approx
         self.core = core
-        self.rd = None
+        self.d = self.rd = None
         M = approx.game_operator()
         if problem == "maxflow":
             self.half = M.n_rows
@@ -147,7 +150,8 @@ class _GameFamily:
         return np.concatenate([v, v])
 
     def set_demand(self, d):
-        self.rd = self.core.mul_R(np.asarray(d, dtype=np.float64))
+        self.d = np.asarray(d, dtype=np.float64)
+        self.rd = self.core.mul_R(self.d)
 
     def estimate(self):
         return self.approx.vec_norm(self.rd)
@@ -190,7 +194,8 @@ def _run_probe(family, t, eps_probe, threshold):
 
 
 def _threshold_search(family, eps, trace, counters):
-    """Smallest grid t whose certified game value is at most 2 eps_s."""
+    """Smallest grid t whose certified game value is at most 2 eps_s: that
+    YES probe, and the NO probe one grid step below it."""
     est = family.estimate()
     if est <= 0:
         raise FlowSolveError("approximator estimate of the demand is zero")
@@ -222,8 +227,7 @@ def _threshold_search(family, eps, trace, counters):
         raise FlowSolveError("no threshold with small game value found; bracket exhausted")
 
     if probe(0).yes:
-        # estimate was loose on the high side; walk the bracket down, and
-        # accept the lowest YES if t_lo gets tiny
+        # estimate was loose on the high side; walk the bracket down
         for _ in range(MAX_BRACKET_EXPANSIONS):
             shift = max(8, K // 2)
             t_lo /= step**shift
@@ -233,15 +237,17 @@ def _threshold_search(family, eps, trace, counters):
             K += shift
             if not probe(0).yes:
                 break
+        else:
+            raise FlowSolveError("every probe certifies a small game value; walk-down exhausted")
     hi_k = min(k for k, p in cache.items() if p.yes)
-    lo_k = max([k for k, p in cache.items() if k < hi_k and not p.yes], default=-1)
+    lo_k = max(k for k, p in cache.items() if k < hi_k and not p.yes)
     while hi_k - lo_k > 1:
         mid = (hi_k + lo_k) // 2
         if probe(mid).yes:
             hi_k = mid
         else:
             lo_k = mid
-    return probe(hi_k)
+    return cache[hi_k], cache[lo_k]
 
 
 def _shortest_path_tree(g):
@@ -297,7 +303,7 @@ def repair_flow(g, approx, d_resid, threshold, core=None, counters=None):
         if (est <= threshold and tree_cost <= threshold) or est == 0.0:
             break
         family.set_demand(d_r)
-        probe = _threshold_search(family, eps_rep, trace=[], counters=counters)
+        probe, _no = _threshold_search(family, eps_rep, trace=[], counters=counters)
         f_k = family.extract_primal(probe.t, probe.point)
         total += f_k
         d_r = d_r - apply_B(g, f_k)
@@ -316,26 +322,26 @@ def _cost(g, flow, norm_kind):
     return float(scaled.sum())
 
 
-def _extract_dual(family, t_found, eps, counters):
+def _extract_dual(family, probe):
+    """Potentials of unit dual norm from a probe's iterate, signed so that
+    d . phi >= 0; returns (phi, d . phi, dual norm of phi)."""
     g = family.g
-    t_dual = (1.0 - eps * DUAL_OFFSET) * t_found
-    inst = family.instance_at(t_dual)
-    eps_s = min(eps / PROBE_DIV, inst.L / 2 if inst.L > 0 else math.inf)
     if family.problem == "maxflow":
-        pt, _up, _lo = solve_decide(inst, eps_s, lower_above=0.0)
-        y1, y2 = pt.y[: family.half], pt.y[family.half :]
+        y1, y2 = probe.point.y[: family.half], probe.point.y[family.half :]
         phi = -family.core.mul_RT(y1 - y2)
-        norm = float(np.abs(apply_BT(g, phi) / g.weight).sum())
+        size = np.sum  # the l1 norm is dual to congestion's l-inf
     else:
-        pt, _up, _lo = solve_decide(inst, eps_s, upper_at_most=0.0)
-        phi = t_dual * family.core.mul_RT(pt.x)
-        norm = float(np.abs(apply_BT(g, phi) / g.weight).max(initial=0.0))
-    counters["iterations"] += pt.iterations
-    counters["solves"] += 1
+        phi = probe.t * family.core.mul_RT(probe.point.x)
+        size = np.max  # the l-inf norm is dual to transshipment's l1
+    stretch = np.abs(apply_BT(g, phi)) / g.weight
+    norm = float(size(stretch))
     if norm <= 0:
         raise FlowSolveError("degenerate dual: potentials are constant")
     phi = phi / norm
-    return phi, t_dual
+    value = float(family.d @ phi)
+    if value < 0:
+        phi, value = -phi, -value
+    return phi, value, float(size(stretch / norm))
 
 
 def _solve_flow(problem, g, d, eps, approx, seed, core):
@@ -345,12 +351,11 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     norm_kind = "linf" if problem == "maxflow" else "l1"
 
+    core = core or CentralizedCore(approx)
+    common = dict(problem=problem, eps=eps, n=g.n, m=g.m, seed=seed, approx_scale=approx.scale,
+                  mode=core.mode)
     if not np.any(d):
         return SolveReport(
-            problem=problem,
-            eps=eps,
-            n=g.n,
-            m=g.m,
             primal_flow=np.zeros(g.m),
             primal_cost=0.0,
             feasibility_residual=0.0,
@@ -363,19 +368,17 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
             iterations_total=0,
             solve_calls=0,
             repair_rounds=0,
-            approx_scale=approx.scale if approx else 1.0,
             approx_rho=float("nan"),
             game_norm=0.0,
-            seed=seed,
+            **common,
         )
 
-    core = core or CentralizedCore(approx)
     family = _GameFamily(problem, g, approx, core)
     family.set_demand(d)
     trace = []
     counters = {"iterations": 0, "solves": 0}
 
-    found = _threshold_search(family, eps, trace, counters)
+    found, below = _threshold_search(family, eps, trace, counters)
     t_final = found.t
     f_raw = family.extract_primal(t_final, found.point)
 
@@ -385,21 +388,9 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
     flow = f_raw + f_rep
     resid = float(np.abs(apply_B(g, flow) - d).sum()) / max(float(np.abs(d).sum()), 1e-300)
 
-    phi, t_dual = _extract_dual(family, t_final, eps, counters)
-    dual_value = float(d @ phi)
-    if dual_value < 0:
-        phi = -phi
-        dual_value = -dual_value
-    if norm_kind == "linf":
-        dual_norm = float(np.abs(apply_BT(g, phi) / g.weight).sum())
-    else:
-        dual_norm = float(np.abs(apply_BT(g, phi) / g.weight).max(initial=0.0))
+    phi, dual_value, dual_norm = _extract_dual(family, below)
 
     return SolveReport(
-        problem=problem,
-        eps=eps,
-        n=g.n,
-        m=g.m,
         primal_flow=flow,
         primal_cost=_cost(g, flow, norm_kind),
         feasibility_residual=resid,
@@ -407,16 +398,15 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
         dual_value=dual_value,
         dual_norm=dual_norm,
         t_final=t_final,
-        t_dual=t_dual,
+        t_dual=below.t,
         t_trace=trace,
         iterations_total=counters["iterations"],
         solve_calls=counters["solves"],
         repair_rounds=repair_rounds,
-        approx_scale=approx.scale,
         approx_rho=approx.calibration.rho,
         game_norm=family.L,
         rounds_total=core.rounds,
-        seed=seed,
+        **common,
     )
 
 

@@ -9,7 +9,7 @@ from boxflow.minoragg import (
     MinorAggNetwork,
     dist_matvec,
 )
-from boxflow.solvers import CentralizedCore
+from boxflow.solvers import CentralizedCore, solve_transshipment
 from boxflow.tree_approx import build_mf_approximator
 from boxflow.ts_approx import build_ts_approximator
 
@@ -261,3 +261,13 @@ def test_degenerate_single_scale_core():
     cen = CentralizedCore(approx)
     x = np.array([0.3, -0.7])
     assert np.allclose(dist_matvec(core, "R", x), cen.mul_R(x), atol=1e-12)
+
+
+def test_core_solve_reports_its_mode(eight_cycle, fig1_demand):
+    # a library solve names the core it ran on; no caller has to fix it up
+    approx = build_ts_approximator(eight_cycle, seed=0)
+    core = MinorAggCore(MinorAggNetwork(eight_cycle), approx)
+    rep = solve_transshipment(eight_cycle, fig1_demand, 0.1, approx=approx, seed=0, core=core)
+    assert rep.mode == "minor-agg"
+    assert rep.rounds_total > 0
+    assert solve_transshipment(eight_cycle, fig1_demand, 0.1, approx=approx, seed=0).mode == "centralized"

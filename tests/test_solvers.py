@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from boxflow import solvers
 from boxflow.boxsimplex import solve
 from boxflow.graphs import Graph, apply_B, apply_BT
 from boxflow.oracle import opt_congestion, opt_transshipment
 from boxflow.solvers import (
+    GRID_FACTOR,
     FlowSolveError,
     build_instance,
     repair_flow,
@@ -226,11 +230,13 @@ def test_random_batch_vs_oracle():
         rep = solve_transshipment(g, d, eps, seed=trial)
         opt = opt_transshipment(g, d)[0]
         assert rep.primal_cost <= (1 + eps) * opt
-        assert rep.dual_value >= (1 - 4 * eps) * opt
+        assert rep.dual_value >= (1 - eps / 4) * opt
+        assert rep.primal_cost / rep.dual_value <= 1 + eps
         rep2 = solve_maxflow(g, d, eps, seed=trial)
         opt2 = opt_congestion(g, d)[0]
         assert rep2.primal_cost <= (1 + eps) * opt2
-        assert rep2.dual_value >= (1 - 4 * eps) * opt2
+        assert rep2.dual_value >= (1 - eps / 4) * opt2
+        assert rep2.primal_cost / rep2.dual_value <= 1 + eps
 
 
 def test_dual_feasibility_norms(cycle8, ts_approx, mf_approx):
@@ -249,3 +255,26 @@ def test_solver_determinism(cycle8, ts_approx):
     assert np.array_equal(r1.primal_flow, r2.primal_flow)
     assert np.array_equal(r1.dual_potentials, r2.dual_potentials)
     assert r1.t_trace == r2.t_trace
+
+
+@pytest.mark.parametrize("problem", ["transshipment", "maxflow"])
+def test_dual_from_highest_no_probe(cycle8, ts_approx, mf_approx, problem):
+    # the dual comes from the bracket's NO end, one grid step below t_final
+    eps = 0.1
+    if problem == "transshipment":
+        rep = solve_transshipment(cycle8, FIG1_DEMAND, eps, approx=ts_approx, seed=0)
+    else:
+        rep = solve_maxflow(cycle8, FIG2_DEMAND, eps, approx=mf_approx, seed=0)
+    no_below = [t for t, _value, yes in rep.t_trace if not yes and t < rep.t_final]
+    assert rep.t_dual == max(no_below)
+    assert abs(rep.t_final / rep.t_dual - (1 + eps / GRID_FACTOR)) <= 1e-12
+
+
+def test_exhausted_walk_down_raises(cycle8, ts_approx, monkeypatch):
+    # a search whose every probe answers YES never finds the bracket's NO end
+    def always_yes(family, t, eps_probe, threshold):
+        return solvers._Probe(t=t, yes=True, value=0.0, point=SimpleNamespace(iterations=0))
+
+    monkeypatch.setattr(solvers, "_run_probe", always_yes)
+    with pytest.raises(FlowSolveError, match="walk-down"):
+        solve_transshipment(cycle8, FIG1_DEMAND, 0.1, approx=ts_approx, seed=0)
