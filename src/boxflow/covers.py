@@ -5,8 +5,8 @@ connected clusters of strong diameter at most D) such that every node has
 some clustering containing its whole radius-D/tau ball inside one
 cluster.  Clusterings are grown by shifted ball carving: centers are
 visited in an exponentially-shifted random order and each carves a
-Dijkstra ball of radius about D/2 out of the residual graph, which keeps
-clusters connected and certifies the diameter deterministically.
+Dijkstra ball of radius theta in [0.35 D, D/2) out of the residual graph,
+which keeps clusters connected and certifies the diameter deterministically.
 Clusterings are added until every ball is covered, giving up after twice
 the configured count.
 
@@ -27,8 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from boxflow.graphs import dijkstra
 from boxflow.rng import child_rng
+
+
+TAU_MIN = 4
 
 
 class CoverError(RuntimeError):
@@ -36,8 +38,8 @@ class CoverError(RuntimeError):
 
 
 def default_tau(n):
-    """Default tau = max(2, ceil(log2 n)), in place of the published log^7 n."""
-    return max(2, int(math.ceil(math.log2(max(n, 2)))))
+    """Default tau = max(TAU_MIN, ceil(log2 n)), in place of the published log^7 n."""
+    return max(TAU_MIN, int(math.ceil(math.log2(max(n, 2)))))
 
 
 def default_num_clusterings(n):
@@ -53,13 +55,17 @@ class DistanceScales:
 
 
 def build_scales(g, tau):
-    """Scales D_i = beta^i with beta = 8 tau, up to n^2 * max weight.
+    """Scales D_i = beta^i with beta = 4 tau, up to n^2 * max weight.
 
     Scale 0 is always present, so the index set is contiguous from 0.
+    beta = 4 tau is the smallest ratio at which R needs no containment
+    test (boxflow.ts_approx), and the smaller beta, the smaller the game
+    norm.  tau >= 4 keeps the covering radius D/tau clear of the smallest
+    carving radius 0.35 D; at tau 3 some covers run out of clusterings.
     """
-    if tau < 2:
-        raise ValueError(f"tau must be at least 2, got {tau}")
-    beta = 8 * tau
+    if tau < TAU_MIN:
+        raise ValueError(f"tau must be at least {TAU_MIN}, got {tau}")
+    beta = 4 * tau
     limit = float(g.n) ** 2 * float(np.max(g.weight))
     levels = [1.0]
     nxt = float(beta)
@@ -110,18 +116,20 @@ def _carve_clustering(g, theta, order):
     Visiting centers in the given order, each unassigned center claims
     every unassigned node within distance theta of it in the residual
     graph.  Each cluster is a residual ball: connected, and its induced
-    diameter is at most 2 theta.
+    diameter is at most 2 theta.  In the residual CSR the arcs into
+    claimed nodes weigh inf, so csgraph, which keeps exactly the nodes at
+    distance <= theta, never enters a claimed node.
     """
+    csr = g.csr()
+    residual = csr.copy()
     ids = np.full(g.n, -1, dtype=np.int64)
-    free = [True] * g.n
     next_id = 0
-    for center in order.tolist():
-        if not free[center]:
-            continue
-        for u in dijkstra(g, center, within=free, limit=theta)[2]:
-            free[u] = False
-            ids[u] = next_id
+    while order.size:
+        ball = np.isfinite(csgraph.dijkstra(residual, indices=order[0], limit=theta))
+        ids[ball] = next_id
         next_id += 1
+        residual.data[ball[csr.indices]] = np.inf
+        order = order[~ball[order]]
     return _make_clustering(ids)
 
 

@@ -8,7 +8,6 @@ vectors over nodes.
 """
 
 import heapq
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,16 +88,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def dijkstra(g, source, within=None, limit=math.inf, as_int=False):
+def dijkstra(g, source, within=None, as_int=False):
     """Shortest paths from source over g.adjacency().
 
     Returns (dist, pred, order): dist and pred are dicts over the reached
     nodes, pred[v] = (edge, parent) on a shortest path, and order is the
-    settle order.  Only nodes v with within[v] true are entered, and
-    labels above limit are dropped.  as_int sums int(weight), so integral
-    graphs give exact int distances.  The heap key (dist, node) breaks
-    ties by node id, and a label moves only on a strict improvement;
-    callers rely on both for reproducible trees and balls.
+    settle order.  Only nodes v with within[v] true are entered.  as_int
+    sums int(weight), so integral graphs give exact int distances.  The
+    heap key (dist, node) breaks ties by node id, and a label moves only
+    on a strict improvement; callers rely on both for reproducible trees.
     """
     adj = g.adjacency()
     dist = {source: 0 if as_int else 0.0}
@@ -114,7 +112,7 @@ def dijkstra(g, source, within=None, limit=math.inf, as_int=False):
             if within is not None and not within[v]:
                 continue
             nd = du + (int(w) if as_int else w)
-            if nd <= limit and (v not in dist or nd < dist[v]):
+            if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = (e, u)
                 heapq.heappush(heap, (nd, v))

@@ -7,10 +7,11 @@ the lower clustering.  The entry for node v is
     D_{i+1} * p_{i,j}(v) * p_{i+1,j'}(v) / (w_i(v) * w_{i+1}(v))
 
 when v lies in C, else zero.  C need not be tested for lying inside one
-cluster of j': it has strong diameter at most D_i, so when it straddles
-a boundary of j' every member has phi_{i+1,j'} <= D_i = D_{i+1}/beta and
-p_{i+1,j'} = 0, which holds while beta >= 4 tau (build_scales fixes
-beta = 8 tau).
+cluster of j'.  It is a singleton (i = 0) or a ball carved with radius
+theta < D_i/2, so its strong diameter is below D_i.  When C straddles a
+boundary of j', every member v then has phi_{i+1,j'}(v) < D_i =
+D_{i+1}/beta and p_{i+1,j'}(v) = 0, which holds while beta >= 4 tau;
+build_scales fixes beta = 4 tau, the exact bound.
 
 Column sparsity is bounded by the number of (i, j, j') triples since each
 triple contributes at most one row per node.  The rows of one (i, j) pair

@@ -33,6 +33,18 @@ def grid_graph(rows, cols, weight=1.0):
     return Graph(rows * cols, edges)
 
 
+def ladder_graph(length, rng, weights=(1.0, 2.0, 3.0)):
+    """2 x length ladder: two rails and a rung at every position, weights
+    drawn from weights in edge order (the bench's ts-ladder graph family)."""
+    edges = []
+    for c in range(length):
+        edges.append((c, length + c, float(rng.choice(weights))))
+        if c + 1 < length:
+            edges.append((c, c + 1, float(rng.choice(weights))))
+            edges.append((length + c, length + c + 1, float(rng.choice(weights))))
+    return Graph(2 * length, edges)
+
+
 def random_connected_graph(n, rng, extra_edge_prob=0.08, weight_choices=(1.0, 2.0, 3.0)):
     """Random spanning tree plus extra edges; weights from weight_choices."""
     edges = []

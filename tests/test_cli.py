@@ -134,7 +134,7 @@ def test_dist_demo(files, tmp_path):
     assert all(v <= res["round_budget_per_matvec"] for v in res["product_rounds"].values())
 
 
-def test_validation_exit_codes(files, tmp_path):
+def test_validation_exit_codes(files, tmp_path, capsys):
     # unknown flag
     assert main(["transshipment", "--graph", files["graph"], "--nope"]) == 1
     # missing file
@@ -147,6 +147,11 @@ def test_validation_exit_codes(files, tmp_path):
     # --tau belongs to the cover-based transshipment approximator only
     assert main(["maxflow", "--graph", files["graph"], "--demand", files["fig2"],
                  "--tau", "3"]) == 1
+    # and tau has a floor of 4
+    capsys.readouterr()
+    assert main(["transshipment", "--graph", files["graph"], "--demand", files["fig1"],
+                 "--tau", "3"]) == 1
+    assert "tau must be at least 4" in capsys.readouterr().err
     # bad eps
     assert main(["transshipment", "--graph", files["graph"], "--demand", files["fig1"],
                  "--eps", "0.9"]) == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boxflow.covers import (
+    _carve_clustering,
     _clustering_potentials,
     build_cover,
     build_distance_structures,
@@ -14,7 +15,7 @@ from boxflow.covers import (
 )
 from boxflow.graphs import Graph
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
+from conftest import cycle_graph, grid_graph, ladder_graph, path_graph, random_connected_graph
 
 
 def induced_distances(g, members):
@@ -40,7 +41,8 @@ def induced_distances(g, members):
     return out
 
 
-def ball(g, v, radius):
+def ball(g, v, radius, free=None):
+    """Nodes within radius of v, in the subgraph induced by free if given."""
     adj = g.adjacency()
     dist = {v: 0.0}
     heap = [(0.0, v)]
@@ -52,7 +54,7 @@ def ball(g, v, radius):
         out.add(u)
         for nb, w, _e in adj[u]:
             nd = du + w
-            if nd <= radius and (nb not in dist or nd < dist[nb]):
+            if (free is None or free[nb]) and nd <= radius and (nb not in dist or nd < dist[nb]):
                 dist[nb] = nd
                 heapq.heappush(heap, (nd, nb))
     return out
@@ -98,32 +100,34 @@ def check_cover_invariants(g, cover, tau):
         assert len({int(ids[u]) for u in b}) == 1
 
 
-def test_scales_eight_cycle_tau2(eight_cycle):
-    scales = build_scales(eight_cycle, 2)
+def test_scales_eight_cycle_tau4(eight_cycle):
+    scales = build_scales(eight_cycle, 4)
     assert scales.beta == 16
     assert scales.levels == [1.0, 16.0]  # 16 <= 64, 256 > 64
     assert scales.i_max == 1
 
 
-def test_scales_single_edge_tau2():
+def test_scales_single_edge_tau4():
     g = Graph(2, [(0, 1, 1.0)])
-    scales = build_scales(g, 2)
+    scales = build_scales(g, 4)
     assert scales.levels == [1.0]  # D_1 = 16 > 4
     assert scales.i_max == 0
 
 
 def test_scales_default_tau():
-    assert default_tau(8) == 3
+    assert [default_tau(n) for n in (1, 2, 8, 16, 17, 2304)] == [4, 4, 4, 4, 5, 12]
     g = cycle_graph(8)
     scales = build_scales(g, default_tau(8))
-    assert scales.beta == 24
+    assert scales.beta == 16
     assert scales.i_max >= 0
     assert scales.levels[0] == 1.0
 
 
 def test_scales_reject_small_tau(eight_cycle):
-    with pytest.raises(ValueError):
-        build_scales(eight_cycle, 1)
+    # below 4 the covering radius D/tau nears the smallest carving radius
+    for tau in (1, 2, 3):
+        with pytest.raises(ValueError, match="at least 4"):
+            build_scales(eight_cycle, tau)
 
 
 def test_cover_whole_graph_single_cluster(eight_cycle):
@@ -285,14 +289,15 @@ def test_p_lipschitz_exhaustive_small():
 
 
 def test_potentials_match_reference_distances():
-    # the path and the 3 x 16 grid at tau = 3 reach potentials in (D/2, D)
+    # the path and the 3 x 16 grid at tau = 4 reach potentials in (D/2, D)
     rng = np.random.default_rng(4)
     cases = [
         (random_connected_graph(16, rng, weight_choices=(1.0, 1.37, 2.9)), None),
         (random_connected_graph(40, rng, extra_edge_prob=0.02, weight_choices=(1.0, 1.7, 3.3)), None),
         (path_graph(40, list(rng.choice((1.0, 1.7, 3.3), size=39))), None),
-        (grid_graph(3, 16), 3),
+        (grid_graph(3, 16), 4),
     ]
+    upper_half = 0
     for gi, (g, tau) in enumerate(cases):
         ds = build_distance_structures(g, tau=tau, seed=300 + gi)
         dists = {u: graph_distances(g, u) for u in range(g.n)}
@@ -302,6 +307,59 @@ def test_potentials_match_reference_distances():
                 ids = clustering.ids
                 phi = _clustering_potentials(g, ids, D)
                 assert np.array_equal(st.phi[j], phi)
+                upper_half += int(np.count_nonzero((phi > D / 2) & (phi < D)))
                 for v in range(g.n):
                     outside = [dists[u][v] for u in range(g.n) if ids[u] != ids[v]]
                     assert phi[v] == min([D] + outside)
+    assert upper_half > 0
+
+
+def test_carve_clusters_are_residual_balls():
+    # each cluster is the residual ball of the first free center in visit
+    # order; radii sit on integer and float path lengths alike
+    rng = np.random.default_rng(12)
+    graphs = [
+        cycle_graph(13),
+        grid_graph(5, 6),
+        random_connected_graph(24, rng),
+        random_connected_graph(24, rng, weight_choices=(1.0, 1.37, 2.9)),
+        path_graph(20, list(rng.choice((1.0, 1.7, 3.3), size=19))),
+    ]
+    for g in graphs:
+        for theta in (1.0, 2.0, 2.37, 3.4, 4.0, 6.5):
+            order = rng.permutation(g.n)
+            clustering = _carve_clustering(g, theta, order)
+            free = [True] * g.n
+            next_id = 0
+            for center in order.tolist():
+                if not free[center]:
+                    continue
+                want = ball(g, center, theta, free)
+                assert set(clustering.members[next_id].tolist()) == want
+                for u in want:
+                    free[u] = False
+                next_id += 1
+            assert clustering.n_clusters == next_id and not any(free)
+
+
+def test_tau4_builds_raise_no_cover_error():
+    # at tau 3 the 24-cycle runs out of clusterings at build seeds 1 and
+    # 3; tau 4 covers every build of the sweep
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        graphs = [
+            cycle_graph(17),
+            cycle_graph(24),
+            random_connected_graph(20, rng, weight_choices=(1.0, 1.37, 2.9)),
+            random_connected_graph(32, rng, weight_choices=(1.0, 1.7, 3.3)),
+            ladder_graph(12, rng, weights=(1.0, 1.7, 3.3)),
+            ladder_graph(16, rng, weights=(1.0, 1.7, 3.3)),
+            grid_graph(4, 6),
+            grid_graph(5, 5),
+            grid_graph(3, 5),
+            path_graph(12, list(rng.choice((1.0, 2.0, 3.0), size=11))),
+        ]
+        for g in graphs:
+            ds = build_distance_structures(g, tau=4, seed=seed)
+            for st in ds.structures:
+                assert (st.cover.covering_index >= 0).all()

@@ -13,7 +13,7 @@ from boxflow.graphs import (
 )
 
 from conftest import FIG1_DEMAND, cycle_graph, random_connected_graph
-from test_covers import ball, induced_distances
+from test_covers import induced_distances
 
 EIGHT_CYCLE_TEXT = "\n".join(f"{i} {(i + 1) % 8} 1" for i in range(8))
 
@@ -180,14 +180,6 @@ def test_dijkstra_within_matches_induced_distances():
         ref = induced_distances(g, members)
         for s in members:
             assert dijkstra(g, s, within)[0] == ref[s]
-
-
-def test_dijkstra_limit_reaches_the_ball():
-    rng, graphs = _float_graphs(41)
-    for g in graphs:
-        for v in rng.choice(g.n, size=3, replace=False).tolist():
-            for r in (0.3, 1.7, 2.07, 4.0, 9.5):
-                assert set(dijkstra(g, v, limit=r)[0]) == ball(g, v, r)
 
 
 def test_dijkstra_as_int_returns_ints():

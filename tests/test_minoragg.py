@@ -137,7 +137,7 @@ def test_ts_contract_votes_match_cluster_ids():
     # rounds, which a narrower word budget splits into more rounds
     inputs = graphs_for_equivalence()
     builds = [build_ts_approximator(g, seed=40 + gi) for gi, g in enumerate(inputs)]
-    builds.append(build_ts_approximator(grid_graph(6, 6), seed=0, tau=2))
+    builds.append(build_ts_approximator(grid_graph(6, 6), seed=0, tau=4))
     builds += [
         build_mf_approximator(g, seed=80 + gi, calibrate_scale=False) for gi, g in enumerate(inputs)
     ]
@@ -156,8 +156,11 @@ def test_ts_contract_votes_match_cluster_ids():
             assert net.trace[0]["max_words"] <= net.word_budget
 
 
-def _assert_six_products_match(g, approx, rng):
-    core = MinorAggCore(MinorAggNetwork(g), approx)
+def _assert_six_products_match(g, approx, rng, word_budget=None):
+    net = MinorAggNetwork(g)
+    if word_budget is not None:
+        net.word_budget = word_budget
+    core = MinorAggCore(net, approx)
     cen = CentralizedCore(approx)
     k, m, n = approx.R.n_rows, g.m, g.n
     for _ in range(5):
@@ -186,20 +189,30 @@ def test_all_six_products_match_centralized():
 
 
 def test_core_messages_fit_word_budget():
-    # many clusterings: set-up once sent every clustering's id in one
-    # message and the transpose delivery one word per row slot, both over
-    # the budget on these builds
-    for g, tau, seed in [
-        (random_connected_graph(9, np.random.default_rng(1)), 2, 0),
-        (cycle_graph(60, weight=10.0), 3, 1),
+    # a budget of the widest block's upper clusterings (the forward
+    # products send one word per upper clustering) is narrower than the
+    # blocks (set-up sends one id per block) and the row slots (the
+    # transpose delivery sends one word per slot), so both deliveries
+    # split into several rounds, each within the budget
+    for g, seed in [
+        (random_connected_graph(24, np.random.default_rng(3)), 2),
+        (cycle_graph(60, weight=10.0), 1),
+        (grid_graph(6, 6), 0),
     ]:
-        approx = build_ts_approximator(g, seed=seed, tau=tau)
-        core = _assert_six_products_match(g, approx, np.random.default_rng(seed))
+        approx = build_ts_approximator(g, seed=seed, tau=4)
+        budget = max(len(blk.rows) for blk in approx.blocks)
+        slots = sum(len(blk.rows) for blk in approx.blocks)
+        assert len(approx.blocks) > budget
+        core = _assert_six_products_match(g, approx, np.random.default_rng(seed), budget)
         got, want = core.r_columns().to_csc(), approx.scaled_R().to_csc()
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-        assert all(r["max_words"] <= core.net.word_budget for r in core.net.trace)
+        trace = {r["label"]: r for r in core.net.trace}
+        assert trace["edge-id-setup"]["rounds"] == math.ceil(len(approx.blocks) / budget)
+        # each of the six products runs five times; two are transposes
+        assert trace["transpose delivery"]["rounds"] == 10 * math.ceil(slots / budget)
+        assert all(r["max_words"] <= budget for r in core.net.trace)
 
 
 def test_tree_core_matches_centralized():
@@ -253,7 +266,7 @@ def test_degenerate_single_scale_core():
     from boxflow.graphs import Graph
 
     g = Graph(2, [(0, 1, 1.0)])
-    approx = build_ts_approximator(g, seed=0, tau=2)
+    approx = build_ts_approximator(g, seed=0, tau=4)
     net = MinorAggNetwork(g)
     core = MinorAggCore(net, approx)
     r_dist = core.r_columns()

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from boxflow.covers import build_distance_structures
+from boxflow.covers import build_distance_structures, default_tau
 from boxflow.graphs import Graph
 from boxflow.oracle import opt_transshipment
 from boxflow.ts_approx import build_R, build_ts_approximator, r_entry
 
-from conftest import cycle_graph, grid_graph, random_connected_graph, random_demand, two_point_demand
+from conftest import (
+    cycle_graph,
+    grid_graph,
+    ladder_graph,
+    random_connected_graph,
+    random_demand,
+    two_point_demand,
+)
 
 
 def test_degenerate_single_scale_fallback():
     g = Graph(2, [(0, 1, 1.0)])
-    ds = build_distance_structures(g, tau=2, seed=0)
+    ds = build_distance_structures(g, tau=4, seed=0)
     assert len(ds.structures) == 1  # D_1 = 16 > 4
     R, blocks = build_R(ds)
     assert R.shape == (2, 2)
@@ -31,18 +38,20 @@ def _lower_clusterings(ds):
 
 
 def test_zero_entry_when_p_vanishes(eight_cycle):
-    # tau 2 gives the grid and the random graph three scales (levels 1, 16
-    # and 256) and 11-12 clusterings at the middle one.  There every lower
+    # tau 4 gives the grid and the random graph three scales (levels 1, 16
+    # and 256) and 5-11 clusterings at the middle one.  There every lower
     # cluster is a singleton or sits inside the one top cluster; on the
-    # weighted 60-cycle at tau 3 (four scales) the clusters of 59 of the
-    # 435 rows straddle an upper cluster boundary.  build_R never tests
-    # containment, so the set-based reference below checks that those rows
-    # come out empty through p alone.
+    # weighted 60-cycle at the default tau 6 (four scales) the clusters of
+    # 5 of the 160 rows (seed 0) and 4 of the 141 (seed 1) straddle an
+    # upper cluster boundary, at beta = 4 tau exactly.  build_R never
+    # tests containment, so the set-based reference below checks that
+    # those rows come out empty through p alone.
     inputs = [
-        (eight_cycle, 2, 1),
-        (grid_graph(6, 6), 2, 0),
-        (random_connected_graph(24, np.random.default_rng(3)), 2, 2),
-        (cycle_graph(60, weight=10.0), 3, 0),
+        (eight_cycle, 4, 1),
+        (grid_graph(6, 6), 4, 0),
+        (random_connected_graph(24, np.random.default_rng(3)), 4, 2),
+        (cycle_graph(60, weight=10.0), None, 0),
+        (cycle_graph(60, weight=10.0), None, 1),
     ]
     straddling = 0
     for g, tau, seed in inputs:
@@ -171,3 +180,12 @@ def test_heavier_parallel_edges_change_nothing():
     for sa, sb in zip(a.structures.structures, b.structures.structures, strict=True):
         for pa, pb in zip(sa.phi, sb.phi, strict=True):
             assert np.array_equal(pa, pb)
+
+
+def test_bench_ladder_rho():
+    # the bench's ts-ladder graph: beta = 8 tau gave rho 17.06 here, and
+    # rho ~ L sets the iteration count of every transshipment probe
+    g = ladder_graph(24, np.random.default_rng(1))
+    approx = build_ts_approximator(g, seed=0)
+    assert approx.structures.scales.beta == 4 * default_tau(g.n)
+    assert approx.calibration.rho <= 8.0
