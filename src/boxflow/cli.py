@@ -113,6 +113,7 @@ def _solve_report_dict(rep):
         "dual_value": rep.dual_value,
         "dual_norm": rep.dual_norm,
         "dual_potentials": [float(x) for x in rep.dual_potentials],
+        "certified_ratio": rep.certified_ratio if np.isfinite(rep.certified_ratio) else None,
         "t_final": rep.t_final,
         "t_dual": rep.t_dual,
         "t_trace": [[t, v, bool(y)] for (t, v, y) in rep.t_trace],

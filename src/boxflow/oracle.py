@@ -1,6 +1,8 @@
 """Ground-truth solvers for desk-scale instances.
 
 Each oracle is one exact algorithm, the same for integral and float input.
+No build or solve calls opt_transshipment: it serves the CLI oracle and
+approx-quality commands, the tests and the bench checks.
 
 opt_transshipment: exact uncapacitated min-cost flow.  Balanced demand is
 reduced to a transportation problem on the shortest-path metric (Dijkstra
@@ -133,6 +135,15 @@ def _solve_transport(supplies, demands, supply, deficit, dist_fn, mass_tol):
             heapq.heappush(heap, (0, 0, ("s", s)))
         done = set()
         order = 1
+
+        def relax(key, nd, node):
+            nonlocal order
+            if key not in done and (key not in dist or nd < dist[key]):
+                dist[key] = nd
+                prev[key] = node
+                heapq.heappush(heap, (nd, order, key))
+                order += 1
+
         while heap:
             du, _, node = heapq.heappop(heap)
             if node in done:
@@ -141,29 +152,11 @@ def _solve_transport(supplies, demands, supply, deficit, dist_fn, mass_tol):
             kind, v = node
             if kind == "s":
                 for t in demands:
-                    red = dist_fn(v, t) + pot_s[v] - pot_t[t]
-                    nd = du + red
-                    key = ("t", t)
-                    if key in done:
-                        continue
-                    if key not in dist or nd < dist[key]:
-                        dist[key] = nd
-                        prev[key] = node
-                        heapq.heappush(heap, (nd, order, key))
-                        order += 1
+                    relax(("t", t), du + (dist_fn(v, t) + pot_s[v] - pot_t[t]), node)
             else:
                 for s in supplies:
                     if plan.get((s, v), 0) > mass_tol:
-                        red = -(dist_fn(s, v) + pot_s[s] - pot_t[v])
-                        nd = du + red
-                        key = ("s", s)
-                        if key in done:
-                            continue
-                        if key not in dist or nd < dist[key]:
-                            dist[key] = nd
-                            prev[key] = node
-                            heapq.heappush(heap, (nd, order, key))
-                            order += 1
+                        relax(("s", s), du - (dist_fn(s, v) + pot_s[s] - pot_t[v]), node)
 
         targets = [t for t in demands if remaining_t[t] > mass_tol and ("t", t) in dist]
         if not targets:
@@ -175,25 +168,20 @@ def _solve_transport(supplies, demands, supply, deficit, dist_fn, mass_tol):
         while prev[node] is not None:
             path.append((prev[node], node))
             node = prev[node]
-        path.reverse()
+        path.reverse()  # plan's key order sets the float summation order
         s_first = node[1]
-        amount = min(remaining_s[s_first], remaining_t[t_best])
+        # arcs alternate supply -> demand (adds mass) and back (cancels it)
+        amount = min([remaining_s[s_first], remaining_t[t_best]]
+                     + [plan[(b[1], a[1])] for a, b in path if a[0] == "t"])
         for a, b in path:
-            if a[0] == "t" and b[0] == "s":
-                amount = min(amount, plan[(b[1], a[1])])
-        for a, b in path:
-            if a[0] == "s" and b[0] == "t":
+            if a[0] == "s":
                 plan[(a[1], b[1])] = plan.get((a[1], b[1]), 0) + amount
-            elif a[0] == "t" and b[0] == "s":
+            else:
                 plan[(b[1], a[1])] -= amount
         remaining_s[s_first] -= amount
         remaining_t[t_best] -= amount
-        for t in demands:
-            if ("t", t) in dist:
-                pot_t[t] += dist[("t", t)]
-        for s in supplies:
-            if ("s", s) in dist:
-                pot_s[s] += dist[("s", s)]
+        for (kind, v), dv in dist.items():
+            (pot_s if kind == "s" else pot_t)[v] += dv
 
     cost = sum(dist_fn(s, t) * q for (s, t), q in plan.items() if q > 0)
     return {k: q for k, q in plan.items() if q > 0}, cost, pot_s

@@ -21,7 +21,8 @@ coarse recursive solves plus an exact shortest-path-tree routing.  The
 dual comes from the other end of the search's bracket: the iterate of
 the highest NO probe, one grid step below the found threshold, turned
 into potentials and normalized to unit dual norm.  By weak duality any
-such potentials bound the optimum from below, whatever the probe's exit.
+such potentials bound the optimum from below, whatever the probe's exit:
+primal_cost/dual_value bounds primal/OPT, and above 1+eps it is logged.
 
 The accuracy policy is fixed, in fractions of the caller's eps: probes
 run at eps_s = eps/PROBE_DIV, the t grid steps by 1 + eps/GRID_FACTOR,
@@ -29,6 +30,7 @@ and repair stops at eps*REPAIR_THETA times ||R d||, solving its
 residuals at REPAIR_EPS.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -45,6 +47,8 @@ REPAIR_THETA = 0.125
 REPAIR_EPS = 0.5
 MAX_BRACKET_EXPANSIONS = 6
 MAX_REPAIR_ROUNDS = 60
+
+logger = logging.getLogger(__name__)
 
 
 class FlowSolveError(RuntimeError):
@@ -75,6 +79,13 @@ class SolveReport:
     rounds_total: int = 0
     mode: str = "centralized"
     seed: int = 0
+
+    @property
+    def certified_ratio(self):
+        """primal_cost / dual_value >= primal/OPT by weak duality (1 at d = 0)."""
+        if self.dual_value > 0:
+            return self.primal_cost / self.dual_value
+        return 1.0 if self.primal_cost == 0 else math.inf
 
 
 class CentralizedCore:
@@ -390,7 +401,7 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
 
     phi, dual_value, dual_norm = _extract_dual(family, below)
 
-    return SolveReport(
+    report = SolveReport(
         primal_flow=flow,
         primal_cost=_cost(g, flow, norm_kind),
         feasibility_residual=resid,
@@ -408,6 +419,9 @@ def _solve_flow(problem, g, d, eps, approx, seed, core):
         rounds_total=core.rounds,
         **common,
     )
+    if report.certified_ratio > 1 + eps:
+        logger.warning("%s certified ratio %.6g exceeds 1+eps", problem, report.certified_ratio)
+    return report
 
 
 def build_instance(problem, g, approx, d, t):

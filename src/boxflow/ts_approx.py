@@ -93,8 +93,8 @@ def _normalized_graph(g):
 
 def build_ts_approximator(g, seed=0, tau=None, calibrate_scale=True):
     """Build distance structures on the weight-normalized graph, assemble
-    R, and (by default) fit the calibration scale against shortest-path
-    oracles."""
+    R, and (by default) fit the calibration scale on two-point demands,
+    priced by shortest-path distances."""
     tau = tau if tau is not None else default_tau(g.n)
     norm_g, weight_scale = _normalized_graph(g)
     ds = build_distance_structures(norm_g, tau=tau, seed=seed)

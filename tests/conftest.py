@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boxflow.graphs import Graph
+from boxflow.rng import child_rng
 
 
 def cycle_graph(n, weight=1.0):
@@ -82,6 +83,20 @@ def two_point_demand(n, rng, mass=1.0):
     d[u] = mass
     d[v] = -mass
     return d
+
+
+def dense_calibration_demands(n, seed, count=16):
+    """The dense demands a transshipment build at this seed priced with
+    the exact transport while its calibration still took dense samples:
+    the calibration stream after its 200 two-point pairs."""
+    rng = child_rng(seed, "calibrate", "l1")
+    for _ in range(200):
+        rng.choice(n, size=2, replace=False)
+    demands = []
+    for _ in range(count):
+        d = rng.normal(size=n)
+        demands.append(d - d.mean())
+    return demands
 
 
 # Golden instances: 8-cycle A..H (A=0 ... H=7), unit weights, edges in

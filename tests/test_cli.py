@@ -66,6 +66,18 @@ def test_transshipment_solve_window(files, tmp_path):
     assert res["dual_value"] >= 3.6
 
 
+def test_solve_reports_certified_ratio(files, tmp_path):
+    for problem, demand in (("transshipment", files["fig1"]), ("maxflow", files["fig2"])):
+        rc, rep = run_cli(
+            [problem, "--graph", files["graph"], "--demand", demand, "--eps", "0.1"],
+            tmp_path / f"{problem}.json",
+        )
+        assert rc == 0
+        res = rep["result"]
+        assert res["certified_ratio"] == res["primal_cost"] / res["dual_value"]
+        assert 1.0 - 1e-9 <= res["certified_ratio"] <= 1.1
+
+
 def test_maxflow_solve_window(files, tmp_path):
     rc, rep = run_cli(
         ["maxflow", "--graph", files["graph"], "--demand", files["fig2"], "--eps", "0.1"],

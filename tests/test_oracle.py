@@ -12,6 +12,7 @@ from conftest import (
     FIG1_DEMAND,
     FIG2_DEMAND,
     cycle_graph,
+    dense_calibration_demands,
     grid_graph,
     path_graph,
     random_connected_graph,
@@ -123,23 +124,25 @@ def test_grid_duals_are_certified():
 
 
 def test_calibrated_ts_build_on_spread_weights(monkeypatch):
+    # the transport's duals once failed certification on the dense demands
+    # that calibration priced on this graph; calibration now takes pairs
+    # only, so neither the build nor a solve may reach the transport
     from boxflow import oracle
+    from boxflow.solvers import solve_transshipment
     from boxflow.ts_approx import build_ts_approximator
 
-    calls = []
-
-    def recording(g, d):
-        out = opt_transshipment(g, d)
-        calls.append((d, out))
-        return out
-
-    monkeypatch.setattr(oracle, "opt_transshipment", recording)
     g = random_connected_graph(20, np.random.default_rng(1), weight_choices=(1e-3, 1, 1e3))
+    for d in dense_calibration_demands(g.n, seed=0):
+        _assert_certified(g, d, *opt_transshipment(g, d))
+
+    calls = []
+    monkeypatch.setattr(oracle, "opt_transshipment", lambda *args: calls.append(args))
+    monkeypatch.setattr(oracle, "_solve_transport", lambda *args: calls.append(args))
     approx = build_ts_approximator(g, seed=0)
     assert approx.calibration.enabled and np.isfinite(approx.calibration.rho)
-    assert len(calls) == 16
-    for d, out in calls:
-        _assert_certified(g, d, *out)
+    assert approx.calibration.batch_size == 200
+    solve_transshipment(cycle_graph(8), FIG1_DEMAND, 0.1, seed=0)
+    assert calls == []
 
 
 def test_fig2_congestion_is_exactly_1_5(eight_cycle):

@@ -1,3 +1,4 @@
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,3 +279,26 @@ def test_exhausted_walk_down_raises(cycle8, ts_approx, monkeypatch):
     monkeypatch.setattr(solvers, "_run_probe", always_yes)
     with pytest.raises(FlowSolveError, match="walk-down"):
         solve_transshipment(cycle8, FIG1_DEMAND, 0.1, approx=ts_approx, seed=0)
+
+
+def test_certified_ratio_reported_and_logged(cycle8, ts_approx, mf_approx, monkeypatch, caplog, capsys):
+    rep = solve_transshipment(cycle8, FIG1_DEMAND, 0.1, approx=ts_approx, seed=0)
+    assert rep.certified_ratio == rep.primal_cost / rep.dual_value <= 1.1
+    assert solve_maxflow(cycle8, np.zeros(8), 0.1, approx=mf_approx, seed=0).certified_ratio == 1.0
+    assert not caplog.records
+
+    # a halved dual value pushes the certificate past 1 + eps
+    extract = solvers._extract_dual
+
+    def halved(family, probe):
+        phi, value, norm = extract(family, probe)
+        return phi, value / 2, norm
+
+    monkeypatch.setattr(solvers, "_extract_dual", halved)
+    with caplog.at_level(logging.WARNING, logger="boxflow.solvers"):
+        loose = solve_transshipment(cycle8, FIG1_DEMAND, 0.1, approx=ts_approx, seed=0)
+    assert loose.primal_cost == rep.primal_cost
+    assert loose.certified_ratio == 2 * rep.certified_ratio
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "certified ratio" in caplog.records[0].getMessage()
+    assert capsys.readouterr() == ("", "")
